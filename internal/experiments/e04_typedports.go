@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"testing"
+	"math"
+	"time"
 
 	"repro/internal/ipc"
 	"repro/internal/obj"
@@ -23,89 +24,119 @@ func init() { register("E4", runE4) }
 func runE4() (*Result, error) {
 	type tapeMsg struct{}
 
-	build := func() (*obj.Table, *sro.Manager, *port.Manager, obj.AD) {
-		tab := obj.NewTable(1 << 22)
-		s := sro.NewManager(tab)
-		heap, _ := s.NewGlobalHeap(0)
-		return tab, s, port.NewManager(tab, s), heap
+	// All three variants share one table, SRO manager and port manager,
+	// so they differ only in the layer under test, not in where the host
+	// happened to place their objects.
+	tab := obj.NewTable(1 << 22)
+	s := sro.NewManager(tab)
+	heap, f := s.NewGlobalHeap(0)
+	if f != nil {
+		return nil, f
 	}
+	pm := port.NewManager(tab, s)
+	td := typedef.NewManager(tab)
 
-	// Wall-clock noise (other tests sharing the machine) can swamp the
-	// few-nanosecond gap between the layers; the minimum of several runs
-	// is the least-perturbed measurement of each.
-	minBench := func(fn func(b *testing.B)) float64 {
-		best := float64(testing.Benchmark(fn).NsPerOp())
-		for i := 0; i < 2; i++ {
-			if ns := float64(testing.Benchmark(fn).NsPerOp()); ns < best {
-				best = ns
-			}
-		}
-		return best
-	}
-
-	un := minBench(func(b *testing.B) {
-		_, s, pm, heap := build()
+	// Each variant builds its fixture once and returns a loop of n
+	// send+receive pairs over it.
+	untyped := func() (func(n int) error, error) {
 		u, f := ipc.CreateUntyped(pm, heap, 8, port.FIFO)
 		if f != nil {
-			b.Fatal(f)
+			return nil, f
 		}
-		msg, _ := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := u.Send(msg); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := u.Receive(); err != nil {
-				b.Fatal(err)
-			}
+		msg, f := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+		if f != nil {
+			return nil, f
 		}
-	})
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := u.Send(msg); err != nil {
+					return err
+				}
+				if _, err := u.Receive(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, nil
+	}
 
-	ty := minBench(func(b *testing.B) {
-		_, s, pm, heap := build()
+	typed := func() (func(n int) error, error) {
 		tp, f := ipc.CreateTyped[tapeMsg](pm, heap, 8, port.FIFO)
 		if f != nil {
-			b.Fatal(f)
+			return nil, f
 		}
-		raw, _ := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+		raw, f := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+		if f != nil {
+			return nil, f
+		}
 		msg := ipc.Wrap[tapeMsg](raw)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := tp.Send(msg); err != nil {
-				b.Fatal(err)
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := tp.Send(msg); err != nil {
+					return err
+				}
+				if _, err := tp.Receive(); err != nil {
+					return err
+				}
 			}
-			if _, err := tp.Receive(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+			return nil
+		}, nil
+	}
 
-	ck := minBench(func(b *testing.B) {
-		tab, s, pm, heap := build()
-		td := typedef.NewManager(tab)
+	checked := func() (func(n int) error, error) {
 		tdo, f := td.Define("bench_msg", obj.LevelGlobal, obj.NilIndex)
 		if f != nil {
-			b.Fatal(f)
+			return nil, f
 		}
 		cp, f := ipc.CreateChecked(pm, td, heap, tdo, 8, port.FIFO)
 		if f != nil {
-			b.Fatal(f)
+			return nil, f
 		}
 		msg, f := td.CreateInstance(tdo, obj.CreateSpec{DataLen: 8})
 		if f != nil {
-			b.Fatal(f)
+			return nil, f
 		}
-		_ = s
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cp.Send(msg); err != nil {
-				b.Fatal(err)
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := cp.Send(msg); err != nil {
+					return err
+				}
+				if _, err := cp.Receive(); err != nil {
+					return err
+				}
 			}
-			if _, err := cp.Receive(); err != nil {
-				b.Fatal(err)
-			}
+			return nil
+		}, nil
+	}
+
+	var loops [3]func(n int) error
+	for i, mk := range []func() (func(n int) error, error){untyped, typed, checked} {
+		loop, err := mk()
+		if err != nil {
+			return nil, err
 		}
-	})
+		loops[i] = loop
+	}
+
+	// Wall-clock noise (other tests sharing the machine, host speed
+	// drifting over seconds) can swamp the few-nanosecond gap between the
+	// layers. Each variant's figure is therefore its minimum over many
+	// short samples (a quiet half millisecond is far likelier than a quiet
+	// second), and the samples interleave the three variants round by
+	// round, so a slow stretch of the host lands on all of them alike
+	// instead of on whichever variant happened to run during it.
+	const rounds, pairs = 400, 1000
+	best := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	for round := 0; round < rounds; round++ {
+		for i, loop := range loops {
+			start := time.Now()
+			if err := loop(pairs); err != nil {
+				return nil, err
+			}
+			best[i] = math.Min(best[i], float64(time.Since(start).Nanoseconds())/pairs)
+		}
+	}
+	un, ty, ck := best[0], best[1], best[2]
 
 	overheadTyped := (ty - un) / un * 100
 	overheadChecked := (ck - un) / un * 100

@@ -239,6 +239,7 @@ func (s *System) injectionImminent(quantum vtime.Cycles) bool {
 // owns fork views of everything mutable (table, memory, per-epoch stats,
 // trace ring, execution caches).
 func (s *System) buildForks() {
+	s.parWinDeclines = s.winDeclines()
 	s.forks = make([]*epochFork, len(s.CPUs))
 	for i := range s.CPUs {
 		ftab := s.Table.Fork()
@@ -1114,6 +1115,11 @@ type ParStats struct {
 	PipeCommits  uint64
 	PipeDrops    uint64
 	ForkCreates  uint64
+
+	// WindowDeclines counts execution-cache windows a fork refused
+	// because the extent straddles a shadow chunk boundary (see
+	// mem.Memory.Window); each one sends that access to the slow path.
+	WindowDeclines uint64
 }
 
 // ParStats reports the parallel backend's counters; all zero when the
@@ -1136,5 +1142,15 @@ func (s *System) ParStats() ParStats {
 		PipeCommits:         s.parPipeCommits,
 		PipeDrops:           s.parPipeDrops,
 		ForkCreates:         s.parForkCreates,
+		WindowDeclines:      s.winDeclines(),
 	}
+}
+
+// winDeclines totals the fork window declines of every fork built so far.
+func (s *System) winDeclines() uint64 {
+	n := s.parWinDeclines
+	for _, fk := range s.forks {
+		n += fk.sys.Table.Memory().ForkWindowDeclines()
+	}
+	return n
 }

@@ -228,6 +228,8 @@ type System struct {
 	// continuations, parPipeCommits those harvested without re-execution,
 	// parPipeDrops continuations discarded at validation. parForkCreates
 	// counts objects created from reservations (committed or serial).
+	// parWinDeclines holds the fork window declines of forks since
+	// rebuilt; ParStats adds the live forks' own counts.
 	parEpochs       uint64
 	parCommits      uint64
 	parConflicts    uint64
@@ -244,6 +246,7 @@ type System struct {
 	parPipeCommits  uint64
 	parPipeDrops    uint64
 	parForkCreates  uint64
+	parWinDeclines  uint64
 }
 
 type bodyReg struct {

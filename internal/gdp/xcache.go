@@ -31,14 +31,16 @@ package gdp
 //     goes through the unchanged execInstr after a fast fetch whose writes
 //     (IP, instruction counters) replicate the slow prologue exactly.
 //
-// Speculative epoch forks run the same fast path over their shadow images:
+// Speculative epoch forks run the same fast path over their shadows:
 // mem.Window on a fork touches the extent into the footprint-tracking
-// shadow (address-stable across epochs), the prime conservatively marks the
-// whole context data extent as written (the fast path writes IP and
-// registers through it; unwritten marked bytes equal the parent's, so the
-// commit copy-back of them is a no-op and over-marking can only add
-// deterministic conflicts, never hide one), and fast stores report their
-// exact byte span through mem.MarkForkWrite. Fork caches never survive an
+// shadow chunk (address-stable across epochs) or, for an extent that
+// straddles a chunk boundary, declines with nil so the slow path runs; the
+// prime conservatively marks the whole context data extent as written
+// (the fast path writes IP and registers through it; unwritten marked
+// bytes equal the parent's, so the commit copy-back of them is a no-op
+// and over-marking can only add deterministic conflicts, never hide one),
+// and fast stores report their exact byte span through
+// mem.MarkForkWrite. Fork caches never survive an
 // epoch boundary — the driver invalidates them in begin(), and the first
 // fast instruction of the epoch re-primes against the fresh shadow.
 

@@ -5,8 +5,8 @@ package mem
 //
 // During one speculative epoch every simulated processor runs against its
 // own fork. A fork never mutates its parent: the first touch of a 256-byte
-// page copies that page into the fork's shadow image, and all subsequent
-// reads and writes land in the shadow. The fork records which pages it
+// page copies that page into the fork's shadow, and all subsequent reads
+// and writes land in the shadow. The fork records which pages it
 // read and which it wrote; the driver intersects those footprints across
 // processors to decide whether the epoch can commit (writes copied back to
 // the parent, in canonical processor order) or must be discarded and
@@ -26,12 +26,28 @@ package mem
 // that the same fork continues into while k awaits its commit ticket.
 // The stash itself value-snapshots k's footprint and written-page images,
 // because the continuation overwrites the shadow in place.
+//
+// The shadow is sparse. A fork holds a directory with one slot per
+// 64 KiB chunk of the arena (forkChunkSize, 256 pages); a chunk — its
+// shadow bytes, its per-page chain and epoch stamps, and its per-page
+// byte footprints — is allocated on the fork's first touch inside it and
+// never moves or shrinks afterwards. Host memory therefore follows the
+// chunks a run touches, not arena size times processor count, and a
+// Window over a shadow chunk stays valid for the fork's lifetime. An
+// access spanning a chunk boundary is split per chunk; a Window that
+// would span one is declined (nil), which sends the execution cache to
+// its slow path.
 
 import "math/bits"
 
 const (
-	forkPageShift = 8
-	forkPageSize  = 1 << forkPageShift
+	forkPageShift  = 8
+	forkPageSize   = 1 << forkPageShift
+	forkChunkShift = 16
+	forkChunkSize  = 1 << forkChunkShift
+	// chunkPageShift converts a page index into its chunk's index.
+	chunkPageShift = forkChunkShift - forkPageShift
+	chunkPages     = 1 << chunkPageShift
 )
 
 // PageBits is a byte-granular footprint bitmap for one page: bit i set
@@ -42,25 +58,45 @@ const (
 type PageBits [forkPageSize / 64]uint64
 
 func (b *PageBits) setRange(lo, hi uint32) { // [lo, hi) within the page
-	for i := lo; i < hi; i++ {
-		b[i>>6] |= 1 << (i & 63)
+	if lo >= hi {
+		return
 	}
+	wl, wh := lo>>6, (hi-1)>>6
+	ml := ^uint64(0) << (lo & 63)
+	mh := ^uint64(0) >> (63 - (hi-1)&63)
+	if wl == wh {
+		b[wl] |= ml & mh
+		return
+	}
+	b[wl] |= ml
+	for w := wl + 1; w < wh; w++ {
+		b[w] = ^uint64(0)
+	}
+	b[wh] |= mh
+}
+
+// forkChunk is one lazily allocated, address-stable piece of a fork's
+// shadow: forkChunkSize bytes plus the stamps and footprints of its pages,
+// all indexed by page number within the chunk.
+type forkChunk struct {
+	shadow    [forkChunkSize]byte // valid only where chain-stamped
+	copied    [chunkPages]uint32  // chain stamp: page copied from parent this chain
+	bitS      [chunkPages]uint32  // epoch stamp: readBits/writeBits belong to this epoch
+	readS     [chunkPages]uint32
+	writeS    [chunkPages]uint32
+	readBits  [chunkPages]PageBits
+	writeBits [chunkPages]PageBits
 }
 
 type memFork struct {
-	parent    *Memory
-	shadow    []byte   // full-size shadow image; valid only where chain-stamped
-	copied    []uint32 // chain stamp: shadow[p] copied from parent this chain
-	bitS      []uint32 // epoch stamp: readBits/writeBits[p] belong to this epoch
-	readS     []uint32
-	writeS    []uint32
-	readBits  []PageBits // per page, valid only where bitS matches the epoch
-	writeBits []PageBits
-	reads     []uint32 // pages first read this epoch
-	writes    []uint32 // pages first written this epoch
-	chain     uint32
-	epoch     uint32
-	abort     bool
+	parent   *Memory
+	chunks   []*forkChunk // one slot per forkChunkSize bytes; nil until touched
+	reads    []uint32     // pages first read this epoch
+	writes   []uint32     // pages first written this epoch
+	chain    uint32
+	epoch    uint32
+	abort    bool
+	declines uint64 // Window calls refused for straddling a chunk boundary
 
 	// Stash of the previous epoch, held while the fork speculates ahead.
 	// stReadBits/stWriteBits parallel stReads/stWrites; stImage holds one
@@ -80,21 +116,14 @@ type memFork struct {
 // single-goroutine; distinct forks of one parent may run concurrently as
 // long as the parent itself is quiescent.
 func (m *Memory) Fork() *Memory {
-	pages := (len(m.data) + forkPageSize - 1) / forkPageSize
 	return &Memory{
 		data: m.data, // shared, read-only through the fork
 		used: m.used,
 		fk: &memFork{
-			parent:    m,
-			shadow:    make([]byte, len(m.data)),
-			copied:    make([]uint32, pages),
-			bitS:      make([]uint32, pages),
-			readS:     make([]uint32, pages),
-			writeS:    make([]uint32, pages),
-			readBits:  make([]PageBits, pages),
-			writeBits: make([]PageBits, pages),
-			chain:     1,
-			epoch:     1,
+			parent: m,
+			chunks: make([]*forkChunk, (len(m.data)+forkChunkSize-1)/forkChunkSize),
+			chain:  1,
+			epoch:  1,
 		},
 	}
 }
@@ -104,25 +133,46 @@ func (m *Memory) IsFork() bool { return m.fk != nil }
 
 // ForkReset begins a new speculation epoch against the parent's current
 // bytes: footprints clear, the abort flag drops, any stash is discarded,
-// and every shadow page is considered stale. O(1) except on counter wrap.
+// and every shadow page is considered stale. O(1) except on counter wrap,
+// whose scrub visits only the allocated chunks.
 func (m *Memory) ForkReset() {
 	fk := m.fk
 	fk.chain++
 	if fk.chain == 0 { // wrapped: stamps are ambiguous, scrub them
-		clear(fk.copied)
+		for _, c := range fk.chunks {
+			if c != nil {
+				clear(c.copied[:])
+			}
+		}
 		fk.chain = 1
 	}
+	fk.nextEpoch()
+	fk.abort = false
+	fk.stashed = false
+}
+
+// nextEpoch advances the epoch stamp, scrubbing the epoch stamps of the
+// allocated chunks on wrap, and empties the page footprint lists.
+func (fk *memFork) nextEpoch() {
 	fk.epoch++
 	if fk.epoch == 0 {
-		clear(fk.bitS)
-		clear(fk.readS)
-		clear(fk.writeS)
+		for _, c := range fk.chunks {
+			if c != nil {
+				clear(c.bitS[:])
+				clear(c.readS[:])
+				clear(c.writeS[:])
+			}
+		}
 		fk.epoch = 1
 	}
 	fk.reads = fk.reads[:0]
 	fk.writes = fk.writes[:0]
-	fk.abort = false
-	fk.stashed = false
+}
+
+// page returns the allocated chunk holding page p and p's index within it.
+// Only pages on this epoch's or the stash's footprint lists qualify.
+func (fk *memFork) page(p uint32) (*forkChunk, uint32) {
+	return fk.chunks[p>>chunkPageShift], p & (chunkPages - 1)
 }
 
 // ForkStash freezes the current epoch's footprint and written-page images
@@ -138,31 +188,19 @@ func (m *Memory) ForkStash() {
 	fk.stWrites = append(fk.stWrites[:0], fk.writes...)
 	fk.stReadBits = fk.stReadBits[:0]
 	for _, p := range fk.reads {
-		fk.stReadBits = append(fk.stReadBits, fk.readBits[p])
+		c, i := fk.page(p)
+		fk.stReadBits = append(fk.stReadBits, c.readBits[i])
 	}
 	fk.stWriteBits = fk.stWriteBits[:0]
 	fk.stImage = fk.stImage[:0]
 	for _, p := range fk.writes {
-		fk.stWriteBits = append(fk.stWriteBits, fk.writeBits[p])
-		base := p << forkPageShift
-		end := base + forkPageSize
-		if end > uint32(len(fk.shadow)) {
-			end = uint32(len(fk.shadow))
-		}
-		var page [forkPageSize]byte
-		copy(page[:], fk.shadow[base:end])
-		fk.stImage = append(fk.stImage, page[:]...)
+		c, i := fk.page(p)
+		fk.stWriteBits = append(fk.stWriteBits, c.writeBits[i])
+		base := i << forkPageShift
+		fk.stImage = append(fk.stImage, c.shadow[base:base+forkPageSize]...)
 	}
 	fk.stashed = true
-	fk.epoch++
-	if fk.epoch == 0 {
-		clear(fk.bitS)
-		clear(fk.readS)
-		clear(fk.writeS)
-		fk.epoch = 1
-	}
-	fk.reads = fk.reads[:0]
-	fk.writes = fk.writes[:0]
+	fk.nextEpoch()
 }
 
 // ForkCommit copies every byte the fork wrote this epoch back into the
@@ -173,16 +211,8 @@ func (m *Memory) ForkStash() {
 func (m *Memory) ForkCommit() {
 	fk := m.fk
 	for _, p := range fk.writes {
-		base := p << forkPageShift
-		wb := &fk.writeBits[p]
-		for w, word := range wb {
-			for word != 0 {
-				i := bits.TrailingZeros64(word)
-				word &= word - 1
-				off := base + uint32(w)<<6 + uint32(i)
-				fk.parent.data[off] = fk.shadow[off]
-			}
-		}
+		c, i := fk.page(p)
+		fk.commitPage(p, c.shadow[i<<forkPageShift:], &c.writeBits[i])
 	}
 }
 
@@ -192,19 +222,22 @@ func (m *Memory) ForkCommit() {
 func (m *Memory) ForkCommitPending() {
 	fk := m.fk
 	for j, p := range fk.stWrites {
-		base := p << forkPageShift
-		img := fk.stImage[j*forkPageSize:]
-		wb := &fk.stWriteBits[j]
-		for w, word := range wb {
-			for word != 0 {
-				i := bits.TrailingZeros64(word)
-				word &= word - 1
-				off := uint32(w)<<6 + uint32(i)
-				fk.parent.data[base+off] = img[off]
-			}
-		}
+		fk.commitPage(p, fk.stImage[j*forkPageSize:], &fk.stWriteBits[j])
 	}
 	fk.stashed = false
+}
+
+// commitPage copies the bytes of page p that wb marks written from img,
+// the page's image, into the parent.
+func (fk *memFork) commitPage(p uint32, img []byte, wb *PageBits) {
+	base := p << forkPageShift
+	for w, word := range wb {
+		for word != 0 {
+			off := uint32(w)<<6 + uint32(bits.TrailingZeros64(word))
+			word &= word - 1
+			fk.parent.data[base+off] = img[off]
+		}
+	}
 }
 
 // ForkFootprint reports the page indices the fork read and wrote this
@@ -224,8 +257,11 @@ func (m *Memory) ForkPendingFootprint() (reads, writes []uint32) {
 // Pages the fork never touched report all-zero.
 func (m *Memory) ForkPageFootprint(p uint32) (read, write PageBits) {
 	fk := m.fk
-	if p < uint32(len(fk.bitS)) && fk.bitS[p] == fk.epoch {
-		read, write = fk.readBits[p], fk.writeBits[p]
+	if p>>chunkPageShift >= uint32(len(fk.chunks)) {
+		return read, write
+	}
+	if c, i := fk.page(p); c != nil && c.bitS[i] == fk.epoch {
+		read, write = c.readBits[i], c.writeBits[i]
 	}
 	return read, write
 }
@@ -254,71 +290,70 @@ func (m *Memory) ForkPendingPageFootprint(p uint32) (read, write PageBits) {
 // epoch and must be discarded.
 func (m *Memory) ForkAborted() bool { return m.fk.abort }
 
-// touch prepares the pages covering [b, b+n) for access and returns the
-// shadow image to index into. Every touched page is copied from the parent
-// once per fork chain (not per epoch — a stash-continued epoch keeps
-// reading its predecessor's values), and its footprint bits are cleared
-// once per epoch.
+// ForkWindowDeclines reports how many Window calls on this fork returned
+// nil because the extent straddles a shadow chunk boundary.
+func (m *Memory) ForkWindowDeclines() uint64 { return m.fk.declines }
+
+// touch prepares the pages covering [b, b+n), which must lie within one
+// chunk and be non-empty, for access and returns the shadow bytes of the
+// span. Every touched page is copied from the parent once per fork chain
+// (not per epoch — a stash-continued epoch keeps reading its
+// predecessor's values), and its footprint bits are cleared once per
+// epoch. The chunk is allocated on its first touch.
 func (fk *memFork) touch(b Addr, n uint32, write bool) []byte {
-	if n == 0 {
-		return fk.shadow
+	ci := uint32(b) >> forkChunkShift
+	c := fk.chunks[ci]
+	if c == nil {
+		c = new(forkChunk)
+		fk.chunks[ci] = c
 	}
-	lo := uint32(b) >> forkPageShift
-	hi := (uint32(b) + n - 1) >> forkPageShift
-	for p := lo; p <= hi; p++ {
-		base := p << forkPageShift
-		if fk.copied[p] != fk.chain {
-			fk.copied[p] = fk.chain
-			end := base + forkPageSize
-			if end > uint32(len(fk.parent.data)) {
-				end = uint32(len(fk.parent.data))
-			}
-			copy(fk.shadow[base:end], fk.parent.data[base:end])
+	off := uint32(b) & (forkChunkSize - 1)
+	cbase := ci << forkChunkShift
+	for i := off >> forkPageShift; i <= (off+n-1)>>forkPageShift; i++ {
+		base := i << forkPageShift // within the chunk
+		if c.copied[i] != fk.chain {
+			c.copied[i] = fk.chain
+			end := min(cbase+base+forkPageSize, uint32(len(fk.parent.data)))
+			copy(c.shadow[base:], fk.parent.data[cbase+base:end])
 		}
-		if fk.bitS[p] != fk.epoch {
-			fk.bitS[p] = fk.epoch
-			fk.readBits[p] = PageBits{}
-			fk.writeBits[p] = PageBits{}
+		if c.bitS[i] != fk.epoch {
+			c.bitS[i] = fk.epoch
+			c.readBits[i] = PageBits{}
+			c.writeBits[i] = PageBits{}
 		}
-		// The byte span of [b, b+n) that lands within this page.
-		slo, shi := uint32(b), uint32(b)+n
-		if slo < base {
-			slo = base
-		}
-		if shi > base+forkPageSize {
-			shi = base + forkPageSize
-		}
+		// The byte span of [off, off+n) that lands within this page.
+		slo, shi := max(off, base), min(off+n, base+forkPageSize)
+		p := ci<<chunkPageShift | i
 		if write {
-			fk.writeBits[p].setRange(slo-base, shi-base)
-			if fk.writeS[p] != fk.epoch {
-				fk.writeS[p] = fk.epoch
+			c.writeBits[i].setRange(slo-base, shi-base)
+			if c.writeS[i] != fk.epoch {
+				c.writeS[i] = fk.epoch
 				fk.writes = append(fk.writes, p)
 			}
 		} else {
-			fk.readBits[p].setRange(slo-base, shi-base)
-			if fk.readS[p] != fk.epoch {
-				fk.readS[p] = fk.epoch
+			c.readBits[i].setRange(slo-base, shi-base)
+			if c.readS[i] != fk.epoch {
+				c.readS[i] = fk.epoch
 				fk.reads = append(fk.reads, p)
 			}
 		}
 	}
-	return fk.shadow
+	return c.shadow[off : off+n : off+n]
 }
 
-// ro returns the byte image to read [b, b+n) from: the live data for a
-// plain Memory, the fork shadow for an epoch fork.
-func (m *Memory) ro(b Addr, n uint32) []byte {
-	if m.fk != nil {
-		return m.fk.touch(b, n, false)
+// access copies p into the shadow at [b, b+len(p)) when write is set, or
+// the shadow bytes there into p otherwise, touching each chunk the span
+// crosses.
+func (fk *memFork) access(b Addr, p []byte, write bool) {
+	for len(p) > 0 {
+		n := min(uint32(len(p)), forkChunkSize-uint32(b)&(forkChunkSize-1))
+		d := fk.touch(b, n, write)
+		if write {
+			copy(d, p[:n])
+		} else {
+			copy(p[:n], d)
+		}
+		p = p[n:]
+		b += Addr(n)
 	}
-	return m.data
-}
-
-// rw returns the byte image to write [b, b+n) into.
-func (m *Memory) rw(b Addr, n uint32) []byte {
-	if m.fk != nil {
-		return m.fk.touch(b, n, true)
-	}
-	m.muts++
-	return m.data
 }

@@ -201,13 +201,22 @@ func (m *Memory) check(e Extent, off, n uint32) error {
 	return nil
 }
 
+// The accessors below index the live image directly; an epoch fork
+// routes them through its shadow instead (memFork.access), which splits a
+// span crossing a shadow chunk boundary.
+
 // ReadByteAt reads one byte at offset off within extent e.
 func (m *Memory) ReadByteAt(e Extent, off uint32) (byte, error) {
 	if err := m.check(e, off, 1); err != nil {
 		return 0, err
 	}
 	b := e.Base + Addr(off)
-	return m.ro(b, 1)[b], nil
+	if m.fk != nil {
+		var p [1]byte
+		m.fk.access(b, p[:], false)
+		return p[0], nil
+	}
+	return m.data[b], nil
 }
 
 // WriteByteAt writes one byte at offset off within extent e.
@@ -216,7 +225,12 @@ func (m *Memory) WriteByteAt(e Extent, off uint32, v byte) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	m.rw(b, 1)[b] = v
+	if m.fk != nil {
+		m.fk.access(b, []byte{v}, true)
+		return nil
+	}
+	m.muts++
+	m.data[b] = v
 	return nil
 }
 
@@ -227,7 +241,12 @@ func (m *Memory) ReadWord(e Extent, off uint32) (uint16, error) {
 		return 0, err
 	}
 	b := e.Base + Addr(off)
-	d := m.ro(b, 2)
+	d := m.data
+	if m.fk != nil {
+		var p [2]byte
+		m.fk.access(b, p[:], false)
+		d, b = p[:], 0
+	}
 	return uint16(d[b]) | uint16(d[b+1])<<8, nil
 }
 
@@ -237,7 +256,12 @@ func (m *Memory) WriteWord(e Extent, off uint32, v uint16) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	d := m.rw(b, 2)
+	if m.fk != nil {
+		m.fk.access(b, []byte{byte(v), byte(v >> 8)}, true)
+		return nil
+	}
+	m.muts++
+	d := m.data
 	d[b] = byte(v)
 	d[b+1] = byte(v >> 8)
 	return nil
@@ -249,7 +273,12 @@ func (m *Memory) ReadDWord(e Extent, off uint32) (uint32, error) {
 		return 0, err
 	}
 	b := e.Base + Addr(off)
-	d := m.ro(b, 4)
+	d := m.data
+	if m.fk != nil {
+		var p [4]byte
+		m.fk.access(b, p[:], false)
+		d, b = p[:], 0
+	}
 	return uint32(d[b]) | uint32(d[b+1])<<8 |
 		uint32(d[b+2])<<16 | uint32(d[b+3])<<24, nil
 }
@@ -260,7 +289,12 @@ func (m *Memory) WriteDWord(e Extent, off uint32, v uint32) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	d := m.rw(b, 4)
+	if m.fk != nil {
+		m.fk.access(b, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}, true)
+		return nil
+	}
+	m.muts++
+	d := m.data
 	d[b] = byte(v)
 	d[b+1] = byte(v >> 8)
 	d[b+2] = byte(v >> 16)
@@ -275,7 +309,11 @@ func (m *Memory) ReadBytes(e Extent, off, n uint32) ([]byte, error) {
 	}
 	b := e.Base + Addr(off)
 	out := make([]byte, n)
-	copy(out, m.ro(b, n)[b:])
+	if m.fk != nil {
+		m.fk.access(b, out, false)
+	} else {
+		copy(out, m.data[b:])
+	}
 	return out, nil
 }
 
@@ -285,7 +323,12 @@ func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	copy(m.rw(b, uint32(len(p)))[b:], p)
+	if m.fk != nil {
+		m.fk.access(b, p, true)
+		return nil
+	}
+	m.muts++
+	copy(m.data[b:], p)
 	return nil
 }
 
@@ -296,11 +339,14 @@ func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
 // the extent itself is freed or moved, which the object layer signals
 // through its cache generation. Bad extents get nil.
 //
-// On an epoch fork the view is over the fork's shadow image (also
-// allocated once, in Fork, and address-stable across epochs): the whole
-// extent is touched — copied from the parent and recorded in the read
-// footprint — so reads through the window are indistinguishable from reads
-// through ro. Writes through a fork window MUST be reported with
+// On an epoch fork the view is over the fork's shadow chunk, which is
+// allocated on first touch and never moves, so the view stays valid
+// across epochs: the whole extent is touched — copied from the parent and
+// recorded in the read footprint — so reads through the window are
+// indistinguishable from reads through the accessors. An extent that
+// straddles a shadow chunk boundary has no contiguous shadow view; the
+// fork declines it (nil, counted by ForkWindowDeclines) and the caller
+// takes its slow path. Writes through a fork window MUST be reported with
 // MarkForkWrite, or they are invisible to conflict detection and lost at
 // commit.
 func (m *Memory) Window(e Extent) []byte {
@@ -308,18 +354,26 @@ func (m *Memory) Window(e Extent) []byte {
 		return nil
 	}
 	if fk := m.fk; fk != nil {
-		fk.touch(e.Base, e.Len, false)
-		return fk.shadow[e.Base:e.End():e.End()]
+		if e.Len == 0 {
+			return []byte{}
+		}
+		if e.Base>>forkChunkShift != (e.End()-1)>>forkChunkShift {
+			fk.declines++
+			return nil
+		}
+		return fk.touch(e.Base, e.Len, false)
 	}
 	return m.data[e.Base:e.End():e.End()]
 }
 
 // MarkForkWrite records [b, b+n) in the fork's write footprint, for
-// callers that write through a Window instead of through rw. The span is
-// touched exactly as a rw access would touch it; on a non-fork Memory this
-// is a no-op (window writes to live memory are coherent by aliasing).
+// callers that write through a Window instead of through the accessors;
+// the span lies within that window, so within one shadow chunk. It is
+// touched exactly as a write accessor would touch it; on a non-fork
+// Memory this is a no-op (window writes to live memory are coherent by
+// aliasing).
 func (m *Memory) MarkForkWrite(b Addr, n uint32) {
-	if m.fk != nil {
+	if m.fk != nil && n > 0 {
 		m.fk.touch(b, n, true)
 	}
 }

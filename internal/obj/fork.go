@@ -33,14 +33,18 @@ import "repro/internal/mem"
 // *chain* stamp that survives the stash — the continuation epoch reads
 // its predecessor's uncommitted values — while per-epoch footprint
 // membership is tracked by a separate *epoch* stamp that the stash bumps.
+//
+// The shadow is sparse: a directory with one slot per descChunkSize
+// descriptors of the parent table, each chunk (shadow descriptors plus
+// their stamps) allocated on the first touch of a slot inside it. When
+// the parent grows the directory grows by nil slots only, so a fork's
+// host memory follows the descriptors it touches, not the table size.
 type tableFork struct {
 	parent  *Table
-	shadow  []Descriptor
-	stamp   []uint32 // chain stamp: epoch when shadow[i] was copied from the parent
-	estamp  []uint32 // epoch stamp: whether slot i is in this epoch's touched list
-	touched []Index  // slots resolved this epoch (the read footprint)
-	writes  []Index  // scratch reused by ForkDescWrites/commits across epochs
-	hazards []Index  // objects that took cache-hazard AD stores this epoch
+	chunks  []*descChunk // one slot per descChunkSize descriptors; nil until touched
+	touched []Index      // slots resolved this epoch (the read footprint)
+	writes  []Index      // scratch reused by ForkDescWrites/commits across epochs
+	hazards []Index      // objects that took cache-hazard AD stores this epoch
 	chain   uint32
 	epoch   uint32
 	abort   bool
@@ -56,6 +60,24 @@ type tableFork struct {
 	stAdStores uint64
 	stGrayings uint64
 	stashed    bool
+}
+
+// descChunkShift sizes the shadow chunks: 1024 descriptors each.
+const (
+	descChunkShift = 10
+	descChunkSize  = 1 << descChunkShift
+)
+
+// descChunk is one lazily allocated piece of a fork's descriptor shadow.
+type descChunk struct {
+	shadow [descChunkSize]Descriptor
+	stamp  [descChunkSize]uint32 // chain stamp: shadow[i] copied from the parent this chain
+	estamp [descChunkSize]uint32 // epoch stamp: slot i is in this epoch's touched list
+}
+
+// shadowOf returns the shadow copy of a slot already on a footprint list.
+func (fk *tableFork) shadowOf(idx Index) *Descriptor {
+	return &fk.chunks[idx>>descChunkShift].shadow[idx&(descChunkSize-1)]
 }
 
 // ForkAbortReason classifies why a fork aborted its epoch, for the
@@ -96,23 +118,22 @@ func (t *Table) IsFork() bool { return t.fk != nil }
 // ForkReset begins a new speculation epoch against the parent's current
 // state: the shadow empties, the footprints clear, any stash drops, the
 // abort flag drops, and the per-epoch stats counters rewind. O(1) in the
-// table size except when the parent grew.
+// table size: a grown parent extends the chunk directory by nil slots,
+// and a stamp wrap scrubs only the allocated chunks.
 func (t *Table) ForkReset() {
 	fk := t.fk
 	fk.chain++
 	if fk.chain == 0 { // stamp wrap: scrub rather than alias epochs
-		clear(fk.stamp)
+		for _, c := range fk.chunks {
+			if c != nil {
+				clear(c.stamp[:])
+			}
+		}
 		fk.chain = 1
 	}
-	fk.epoch++
-	if fk.epoch == 0 {
-		clear(fk.estamp)
-		fk.epoch = 1
-	}
-	if n := len(fk.parent.descs); n > len(fk.shadow) {
-		fk.shadow = append(fk.shadow, make([]Descriptor, n-len(fk.shadow))...)
-		fk.stamp = append(fk.stamp, make([]uint32, n-len(fk.stamp))...)
-		fk.estamp = append(fk.estamp, make([]uint32, n-len(fk.estamp))...)
+	fk.nextEpoch()
+	if n := (len(fk.parent.descs) + descChunkSize - 1) >> descChunkShift; n > len(fk.chunks) {
+		fk.chunks = append(fk.chunks, make([]*descChunk, n-len(fk.chunks))...)
 	}
 	fk.touched = fk.touched[:0]
 	fk.hazards = fk.hazards[:0]
@@ -136,9 +157,9 @@ func (t *Table) ForkStash() {
 	fk.stWrites = fk.stWrites[:0]
 	fk.stVals = fk.stVals[:0]
 	for _, idx := range fk.touched {
-		if fk.shadow[idx] != fk.parent.descs[idx] {
+		if d := fk.shadowOf(idx); *d != fk.parent.descs[idx] {
 			fk.stWrites = append(fk.stWrites, idx)
-			fk.stVals = append(fk.stVals, fk.shadow[idx])
+			fk.stVals = append(fk.stVals, *d)
 		}
 	}
 	fk.stHazards = append(fk.stHazards[:0], fk.hazards...)
@@ -147,16 +168,26 @@ func (t *Table) ForkStash() {
 	fk.stGrayings = t.grayings
 	fk.stashed = true
 
-	fk.epoch++
-	if fk.epoch == 0 {
-		clear(fk.estamp)
-		fk.epoch = 1
-	}
+	fk.nextEpoch()
 	fk.touched = fk.touched[:0]
 	fk.hazards = fk.hazards[:0]
 	fk.created = 0
 	t.adStores, t.grayings = 0, 0
 	t.mem.ForkStash()
+}
+
+// nextEpoch advances the epoch stamp, scrubbing the allocated chunks'
+// epoch stamps on wrap.
+func (fk *tableFork) nextEpoch() {
+	fk.epoch++
+	if fk.epoch == 0 {
+		for _, c := range fk.chunks {
+			if c != nil {
+				clear(c.estamp[:])
+			}
+		}
+		fk.epoch = 1
+	}
 }
 
 // ForkAborted reports whether this epoch hit a non-speculable operation
@@ -189,7 +220,7 @@ func (t *Table) ForkDescWrites() []Index {
 	fk := t.fk
 	out := fk.writes[:0]
 	for _, idx := range fk.touched {
-		if fk.shadow[idx] != fk.parent.descs[idx] {
+		if *fk.shadowOf(idx) != fk.parent.descs[idx] {
 			out = append(out, idx)
 		}
 	}
@@ -246,8 +277,8 @@ func (t *Table) ForkCommit() []Index {
 	fk := t.fk
 	written := fk.writes[:0]
 	for _, idx := range fk.touched {
-		if fk.shadow[idx] != fk.parent.descs[idx] {
-			fk.parent.descs[idx] = fk.shadow[idx]
+		if d := fk.shadowOf(idx); *d != fk.parent.descs[idx] {
+			fk.parent.descs[idx] = *d
 			written = append(written, idx)
 		}
 	}
@@ -307,15 +338,21 @@ func (t *Table) noteCacheHazard(idx Index) {
 // footprint membership is epoch-scoped.
 func (t *Table) slot(idx Index) *Descriptor {
 	if fk := t.fk; fk != nil {
-		if fk.stamp[idx] != fk.chain {
-			fk.stamp[idx] = fk.chain
-			fk.shadow[idx] = fk.parent.descs[idx]
+		c := fk.chunks[idx>>descChunkShift]
+		if c == nil {
+			c = new(descChunk)
+			fk.chunks[idx>>descChunkShift] = c
 		}
-		if fk.estamp[idx] != fk.epoch {
-			fk.estamp[idx] = fk.epoch
+		i := idx & (descChunkSize - 1)
+		if c.stamp[i] != fk.chain {
+			c.stamp[i] = fk.chain
+			c.shadow[i] = fk.parent.descs[idx]
+		}
+		if c.estamp[i] != fk.epoch {
+			c.estamp[i] = fk.epoch
 			fk.touched = append(fk.touched, idx)
 		}
-		return &fk.shadow[idx]
+		return &c.shadow[i]
 	}
 	t.muts++
 	return &t.descs[idx]
