@@ -14,9 +14,9 @@
 //	imaxbench -bench-pr5 OUT.json  scoped-invalidation + affinity benchmark
 //	imaxbench -bench-pr8 OUT.json  trace-compiler benchmark (six corners,
 //	                               ≥3x and 0-alloc gates)
-//	imaxbench -bench-pr10 OUT.json epoch-pipeline + in-fork structural-commit
-//	                               benchmark (six corners + knock-out arms,
-//	                               ≥0.90 commit-rate and occupancy>1 gates)
+//	imaxbench -bench-pr10 OUT.json in-fork structural-commit benchmark (six
+//	                               corners + NoStructuralCommit arm, ≥0.90
+//	                               commit-rate gate)
 //	imaxbench -bench-scale OUT.json [-scale-sessions N] [-scale-det]
 //	                               open-loop scale scenarios (SLO percentiles)
 //	imaxbench -bench-shard OUT.json [-shard-sessions N] [-shard-det]
@@ -58,7 +58,7 @@ func run() int {
 	benchPR3 := flag.String("bench-pr3", "", "run the execution-cache benchmark and write the JSON report here")
 	benchPR5 := flag.String("bench-pr5", "", "run the scoped-invalidation/affinity benchmark and write the JSON report here")
 	benchPR8 := flag.String("bench-pr8", "", "run the trace-compiler six-corner benchmark and write the JSON report here")
-	benchPR10 := flag.String("bench-pr10", "", "run the epoch-pipeline/structural-commit benchmark and write the JSON report here")
+	benchPR10 := flag.String("bench-pr10", "", "run the in-fork structural-commit benchmark and write the JSON report here")
 	requireCores := flag.Int("require-cores", 0, "hard-fail when the host has at least N cores but the parallel backend fails to beat serial (0 = warn only)")
 	perfTrack := flag.String("perf-track", "", "directory of freshly generated BENCH_*.json to judge against committed baselines")
 	perfBaseline := flag.String("perf-baseline", ".", "directory of committed BENCH_*.json baselines for -perf-track")
@@ -267,14 +267,11 @@ func run() int {
 			fmt.Printf("  %-12s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
 			fmt.Printf("    serial   nocache %8.2fms, cache %8.2fms, trace %8.2fms\n",
 				float64(r.SerialNocacheNs)/1e6, float64(r.SerialCacheNs)/1e6, float64(r.SerialTraceNs)/1e6)
-			fmt.Printf("    parallel nocache %8.2fms, cache %8.2fms, trace %8.2fms; nopipe %8.2fms (%.2fx), nostruct %8.2fms (%.2fx)\n",
+			fmt.Printf("    parallel nocache %8.2fms, cache %8.2fms, trace %8.2fms; nostruct %8.2fms (%.2fx)\n",
 				float64(r.ParallelNocacheNs)/1e6, float64(r.ParallelCacheNs)/1e6, float64(r.ParallelTraceNs)/1e6,
-				float64(r.ParallelNoPipeNs)/1e6, r.PipelineSpeedup,
 				float64(r.ParallelNoStructNs)/1e6, r.StructuralSpeedup)
-			fmt.Printf("    epochs %d, commits %d (rate %.3f), occupancy %.2f, in-fork creates %d\n",
-				r.ParEpochs, r.ParCommits, r.StructuralCommitRate, r.PipelineOccupancy, r.ForkCreates)
-			fmt.Printf("    pipeline: %d launches, %d harvests, %d drops; aborts %d structural / %d reservation / %d other\n",
-				r.PipeLaunches, r.PipeCommits, r.PipeDrops,
+			fmt.Printf("    epochs %d, commits %d (rate %.3f), in-fork creates %d; aborts %d structural / %d reservation / %d other\n",
+				r.ParEpochs, r.ParCommits, r.StructuralCommitRate, r.ForkCreates,
 				r.AbortsStructural, r.AbortsReservation, r.AbortsOther)
 			if r.AllocVirtualThroughput > 0 {
 				fmt.Printf("    alloc throughput: %.0f creates per virtual megacycle\n", r.AllocVirtualThroughput)

@@ -114,11 +114,6 @@ type Config struct {
 	// NoExecCache. Results are byte-identical either way.
 	NoTraceJIT bool
 
-	// NoPipeline disables pipelined epoch continuations in the parallel
-	// backend (see internal/gdp/parallel.go): every epoch then pays the
-	// full barrier. Results are byte-identical either way.
-	NoPipeline bool
-
 	// NoStructuralCommit disables in-fork object creation from
 	// reservations (see internal/gdp/reserve.go): creates become
 	// unconditionally structural and abort parallel epochs, as before
@@ -180,7 +175,6 @@ func Boot(cfg Config) (*IMAX, error) {
 		HostParallel:       cfg.HostParallel,
 		NoExecCache:        cfg.NoExecCache,
 		NoTraceJIT:         cfg.NoTraceJIT,
-		NoPipeline:         cfg.NoPipeline,
 		NoStructuralCommit: cfg.NoStructuralCommit,
 	})
 	if err != nil {

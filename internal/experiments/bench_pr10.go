@@ -1,12 +1,11 @@
 package experiments
 
-// BenchPR10 measures the epoch pipeline and the in-fork structural
-// commit path (internal/gdp parallel.go + internal/sro reserve.go): the
-// e2-alloc shape — tight create loops with a bystander read, the
-// workload the barrier-synchronous engine paid both the barrier and the
-// allocation tax on — runs at all six {serial, parallel} × {nocache,
-// cache, cache+trace} corners, plus two parallel baseline arms with one
-// mechanism switched off each (NoPipeline, NoStructuralCommit).
+// BenchPR10 measures the in-fork structural commit path (internal/gdp
+// parallel.go + internal/sro reserve.go): the e2-alloc shape — tight
+// create loops with a bystander read, the workload the epoch engine paid
+// the allocation tax on — runs at all six {serial, parallel} × {nocache,
+// cache, cache+trace} corners, plus a parallel knock-out arm with
+// reservations switched off (NoStructuralCommit).
 //
 // Headline metrics, all deterministic functions of the workload:
 //
@@ -15,9 +14,6 @@ package experiments
 //     with ForkCreates > 0 — at least nine in ten allocation-heavy
 //     epochs must commit their creates inside the fork instead of
 //     aborting to a serial replay.
-//   - pipeline_occupancy: (Epochs + PipeLaunches) / Epochs, the mean
-//     quanta in flight per barrier. The gate demands > 1 (the pipeline
-//     engages) with PipeCommits ≥ 1 (harvests actually land).
 //   - alloc_throughput_virtual: creates per virtual megacycle on
 //     e2-alloc — the end-to-end allocation throughput of the machine
 //     being modelled, independent of the host.
@@ -38,7 +34,7 @@ import (
 )
 
 // BenchPR10Run is one workload measured at the six corners plus the
-// two knock-out arms (best of `reps` host wall-clock each).
+// knock-out arm (best of `reps` host wall-clock each).
 type BenchPR10Run struct {
 	Workload   string `json:"workload"`
 	Processors int    `json:"processors"`
@@ -52,12 +48,10 @@ type BenchPR10Run struct {
 	ParallelCacheNs   int64 `json:"parallel_cache_ns"`
 	ParallelTraceNs   int64 `json:"parallel_trace_ns"`
 
-	// Knock-out arms: the parallel trace corner re-run with one
-	// mechanism disabled. The ratios are informational (wall-clock, so
+	// Knock-out arm: the parallel trace corner re-run with reservations
+	// disabled. The ratio is informational (wall-clock, so
 	// host-dependent); the gates ride on the deterministic counters.
-	ParallelNoPipeNs   int64   `json:"parallel_nopipe_ns"`
 	ParallelNoStructNs int64   `json:"parallel_nostruct_ns"`
-	PipelineSpeedup    float64 `json:"pipeline_speedup"`
 	StructuralSpeedup  float64 `json:"structural_speedup"`
 
 	VirtualCycles uint64 `json:"virtual_cycles"`
@@ -72,13 +66,9 @@ type BenchPR10Run struct {
 	AbortsStructural  uint64 `json:"aborts_structural"`
 	AbortsReservation uint64 `json:"aborts_reservation"`
 	AbortsOther       uint64 `json:"aborts_other"`
-	PipeLaunches      uint64 `json:"pipe_launches"`
-	PipeCommits       uint64 `json:"pipe_commits"`
-	PipeDrops         uint64 `json:"pipe_drops"`
 	ForkCreates       uint64 `json:"fork_creates"`
 
 	StructuralCommitRate   float64 `json:"structural_commit_rate"`
-	PipelineOccupancy      float64 `json:"pipeline_occupancy"`
 	AllocVirtualThroughput float64 `json:"alloc_throughput_virtual"`
 }
 
@@ -90,8 +80,7 @@ type BenchPR10Report struct {
 
 // benchPR10Corner is one cell of the measurement matrix.
 type benchPR10Corner struct {
-	hostpar, nocache, notrace bool
-	nopipe, nostruct          bool
+	hostpar, nocache, notrace, nostruct bool
 }
 
 // benchAlloc is the e2-alloc shape: workers running tight create loops
@@ -106,7 +95,6 @@ func benchAlloc(cpus, workers int, iters uint32, c benchPR10Corner) (vtime.Cycle
 		HostParallel:       c.hostpar,
 		NoExecCache:        c.nocache,
 		NoTraceJIT:         c.notrace,
-		NoPipeline:         c.nopipe,
 		NoStructuralCommit: c.nostruct,
 	})
 	if err != nil {
@@ -155,9 +143,9 @@ func benchAlloc(cpus, workers int, iters uint32, c benchPR10Corner) (vtime.Cycle
 }
 
 // BenchPR10 runs the e2-alloc and e3-compute workloads across the six
-// corners and the two knock-out arms (best of `reps` host wall-clock),
-// enforces the structural-commit and pipeline-occupancy gates, and
-// writes the JSON report to path.
+// corners and the knock-out arm (best of `reps` host wall-clock),
+// enforces the structural-commit gate, and writes the JSON report to
+// path.
 func BenchPR10(path string, reps int) (*BenchPR10Report, error) {
 	if reps <= 0 {
 		reps = 3
@@ -186,9 +174,9 @@ func BenchPR10(path string, reps int) (*BenchPR10Report, error) {
 			}},
 		{"e3-compute", computeCPUs, computeWorkers, 0,
 			func(c benchPR10Corner) (vtime.Cycles, uint64, benchStats, error) {
-				if c.nopipe || c.nostruct {
+				if c.nostruct {
 					// benchCompute has no knob plumbing; the knock-out
-					// arms only matter on the allocate shape anyway, so
+					// arm only matters on the allocate shape anyway, so
 					// reuse the default parallel trace corner.
 					c = benchPR10Corner{hostpar: true}
 				}
@@ -201,14 +189,13 @@ func BenchPR10(path string, reps int) (*BenchPR10Report, error) {
 		{hostpar: false}, // serial cached + trace
 		{hostpar: true, nocache: true, notrace: true},  // parallel uncached
 		{hostpar: true, nocache: false, notrace: true}, // parallel cached
-		{hostpar: true},                 // parallel cached + trace: the corner this PR makes pay
-		{hostpar: true, nopipe: true},   // knock-out: barrier-synchronous epochs
+		{hostpar: true},                 // parallel cached + trace
 		{hostpar: true, nostruct: true}, // knock-out: every create aborts to serial replay
 	}
 	for _, w := range workloads {
-		var ns [8]int64
-		var cy [8]vtime.Cycles
-		var sum [8]uint64
+		var ns [7]int64
+		var cy [7]vtime.Cycles
+		var sum [7]uint64
 		var ps gdp.ParStats
 		for i := 0; i < reps; i++ {
 			for ci, c := range corners {
@@ -220,7 +207,7 @@ func BenchPR10(path string, reps int) (*BenchPR10Report, error) {
 					ns[ci] = st.RunNs
 				}
 				cy[ci], sum[ci] = ccy, csum
-				if c.hostpar && !c.nocache && !c.notrace && !c.nopipe && !c.nostruct {
+				if c.hostpar && !c.nocache && !c.notrace && !c.nostruct {
 					ps = st.Par
 				}
 			}
@@ -249,10 +236,8 @@ func BenchPR10(path string, reps int) (*BenchPR10Report, error) {
 			ParallelNocacheNs:  ns[3],
 			ParallelCacheNs:    ns[4],
 			ParallelTraceNs:    ns[5],
-			ParallelNoPipeNs:   ns[6],
-			ParallelNoStructNs: ns[7],
-			PipelineSpeedup:    float64(ns[6]) / float64(ns[5]),
-			StructuralSpeedup:  float64(ns[7]) / float64(ns[5]),
+			ParallelNoStructNs: ns[6],
+			StructuralSpeedup:  float64(ns[6]) / float64(ns[5]),
 			VirtualCycles:      uint64(cy[0]),
 			ResultsEqual:       equal,
 			ParEpochs:          ps.Epochs,
@@ -263,14 +248,10 @@ func BenchPR10(path string, reps int) (*BenchPR10Report, error) {
 			AbortsStructural:   ps.AbortsStructural,
 			AbortsReservation:  ps.AbortsReservation,
 			AbortsOther:        ps.AbortsOther,
-			PipeLaunches:       ps.PipeLaunches,
-			PipeCommits:        ps.PipeCommits,
-			PipeDrops:          ps.PipeDrops,
 			ForkCreates:        ps.ForkCreates,
 		}
 		if ps.Epochs > 0 {
 			r.StructuralCommitRate = float64(ps.Commits) / float64(ps.Epochs)
-			r.PipelineOccupancy = float64(ps.Epochs+ps.PipeLaunches) / float64(ps.Epochs)
 		}
 		if w.creates > 0 && cy[0] > 0 {
 			r.AllocVirtualThroughput = float64(w.creates) / (float64(cy[0]) / 1e6)
@@ -283,11 +264,6 @@ func BenchPR10(path string, reps int) (*BenchPR10Report, error) {
 	for _, r := range rep.Runs {
 		if !r.ResultsEqual {
 			return nil, fmt.Errorf("bench-pr10: %s: corner results diverged", r.Workload)
-		}
-		if r.PipelineOccupancy <= 1 || r.PipeCommits == 0 {
-			return nil, fmt.Errorf("bench-pr10: %s: pipeline occupancy %.3f not above 1 "+
-				"(epochs %d, launches %d, harvests %d)",
-				r.Workload, r.PipelineOccupancy, r.ParEpochs, r.PipeLaunches, r.PipeCommits)
 		}
 		if r.AbortsStructural+r.AbortsReservation+r.AbortsOther != r.ParAborts {
 			return nil, fmt.Errorf("bench-pr10: %s: abort split %d+%d+%d does not sum to %d",

@@ -127,17 +127,16 @@ func perfExtract(dir string) (map[string]float64, error) {
 		}
 	}
 
-	// The pipeline artifact: deterministic counters from the parallel
-	// trace corner — structural commit rate and pipeline occupancy per
-	// workload, and the virtual allocation throughput of e2-alloc. All
-	// three are host-independent, so a regression is a real scheduling
-	// or reservation change, not measurement noise.
+	// The structural-commit artifact: deterministic counters from the
+	// parallel trace corner — structural commit rate per workload, and
+	// the virtual allocation throughput of e2-alloc. Both are
+	// host-independent, so a regression is a real scheduling or
+	// reservation change, not measurement noise.
 	{
 		var rep struct {
 			Runs []struct {
 				Workload               string  `json:"workload"`
 				StructuralCommitRate   float64 `json:"structural_commit_rate"`
-				PipelineOccupancy      float64 `json:"pipeline_occupancy"`
 				AllocVirtualThroughput float64 `json:"alloc_throughput_virtual"`
 			} `json:"runs"`
 		}
@@ -148,7 +147,6 @@ func perfExtract(dir string) (map[string]float64, error) {
 		if ok {
 			for _, r := range rep.Runs {
 				note("structural_commit_rate/"+r.Workload, r.StructuralCommitRate)
-				note("pipeline_occupancy/"+r.Workload, r.PipelineOccupancy)
 				if r.AllocVirtualThroughput > 0 {
 					note("alloc_throughput_virtual/"+r.Workload, r.AllocVirtualThroughput)
 				}

@@ -33,9 +33,9 @@ type CPU struct {
 	// rsv is this processor's structural-capacity reservation: pre-granted
 	// descriptor slots and pre-charged arena bytes that let the create
 	// instruction commit inside an epoch fork (obj.Reservation). The value
-	// is copied with the CPU struct during speculation; any refill that
-	// actually changes it drops the pipelined continuation built against
-	// the old cursor (refillReservations), so value copies stay sound.
+	// is copied with the CPU struct during speculation and copied back at
+	// commit; refills run only between steps, on the real CPU
+	// (refillReservations), so no fork ever holds a stale copy.
 	// rsvWant records the SRO a create most recently fell back on, so the
 	// next inter-epoch refill binds the reservation there.
 	rsv     obj.Reservation

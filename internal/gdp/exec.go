@@ -44,23 +44,19 @@ func (s *System) Step(quantum vtime.Cycles) (bool, *obj.Fault) {
 		}
 		s.busyThisStep = busy
 	}
-	// Pipelined continuations from the previous step are judged before
-	// anything else mutates the machine, then reservations are topped up —
-	// identically in every corner, so the grants are part of the common
-	// serial prefix of each step rather than of any one backend.
-	s.pipeCheck(quantum)
+	// Reservations are topped up identically in every corner, so the
+	// grants are part of the common serial prefix of each step rather than
+	// of any one backend.
 	s.refillReservations()
 	if s.parallelEligible() && !s.injectionImminent(quantum) {
 		if s.parCoolLeft > 0 {
 			// Abort backoff: recent epochs kept discarding, so run
 			// serially for a while before paying for speculation again.
 			s.parCoolLeft--
-			s.dropStashes()
 			return s.stepSerial(quantum)
 		}
 		return s.stepParallel(quantum)
 	}
-	s.dropStashes()
 	return s.stepSerial(quantum)
 }
 

@@ -36,18 +36,6 @@ package gdp
 // purely a host wall-clock optimisation — the simulated machine cannot
 // tell, whatever the grouping.
 //
-// Epochs additionally *pipeline*: a group that finishes its quantum cleanly
-// stashes the epoch (ForkStash freezes its footprint and values for the
-// in-order commit) and immediately runs the next quantum in the same fork,
-// overlapping with slower groups still inside the current epoch. The next
-// Step harvests a continuation — commits it without re-execution — only if
-// every assumption it speculated under provably held: same quantum, same
-// grouping, no external mutation (Table.MutGen), identical CPU state, and a
-// footprint disjoint from every other group's just-committed writes
-// (lwDescs/lwPages). Any doubt drops the continuation and re-runs the
-// quantum fresh, so the pipeline is — like the rest of the backend — a pure
-// wall-clock optimisation. See DESIGN.md §13 for the determinism argument.
-//
 // Committed epochs no longer invalidate every execution cache: ForkCommit
 // reports exactly the descriptor slots it changed (plus the objects that
 // took cache-hazard AD stores), and scopedInvalidate kills only the caches
@@ -60,7 +48,6 @@ import (
 	"sync"
 
 	"repro/internal/domain"
-	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/port"
 	"repro/internal/process"
@@ -73,8 +60,7 @@ import (
 // forkLogCapacity sizes each fork's private trace ring. A quantum is a few
 // thousand cycles and the cheapest traced operation costs ~4, so 32k events
 // is far past any real epoch, even with several group members sharing the
-// ring and a pipelined continuation doubling the load; overflow aborts the
-// epoch rather than lose events.
+// ring; overflow aborts the epoch rather than lose events.
 const forkLogCapacity = 1 << 15
 
 // maxParallelCPUs bounds the backend to the width of the footprint
@@ -111,59 +97,21 @@ func (s *System) specDead() bool {
 	return s.spec != nil && (s.spec.dead || s.Table.ForkAborted())
 }
 
-// forkStats is one epoch's driver-level stats delta. A fork accumulates it
-// live on the fork system; stash() freezes a copy for the pending epoch so
-// the continuation can accumulate its own.
-type forkStats struct {
-	dispatches   uint64
-	preemptions  uint64
-	faultsSent   uint64
-	instructions uint64
-	trCompiled   uint64
-	trFused      uint64
-	trEntries    uint64
-	trInstrs     uint64
-	trDeopts     uint64
-	trExits      uint64
-	forkCreates  uint64
-}
-
-// takeForkStats moves the fork system's per-epoch counters into a snapshot,
-// zeroing them for the next epoch.
-func (fs *System) takeForkStats() forkStats {
-	st := forkStats{
-		dispatches:   fs.dispatches,
-		preemptions:  fs.preemptions,
-		faultsSent:   fs.faultsSent,
-		instructions: fs.instructions,
-		trCompiled:   fs.trCompiled,
-		trFused:      fs.trFused,
-		trEntries:    fs.trEntries,
-		trInstrs:     fs.trInstrs,
-		trDeopts:     fs.trDeopts,
-		trExits:      fs.trExits,
-		forkCreates:  fs.parForkCreates,
-	}
-	fs.dispatches, fs.preemptions, fs.faultsSent, fs.instructions = 0, 0, 0, 0
-	fs.trCompiled, fs.trFused, fs.trEntries = 0, 0, 0
-	fs.trInstrs, fs.trDeopts, fs.trExits = 0, 0, 0
-	fs.parForkCreates = 0
-	return st
-}
-
-// addForkStats folds one committed epoch's deltas into the real system.
-func (s *System) addForkStats(st *forkStats) {
-	s.dispatches += st.dispatches
-	s.preemptions += st.preemptions
-	s.faultsSent += st.faultsSent
-	s.instructions += st.instructions
-	s.trCompiled += st.trCompiled
-	s.trFused += st.trFused
-	s.trEntries += st.trEntries
-	s.trInstrs += st.trInstrs
-	s.trDeopts += st.trDeopts
-	s.trExits += st.trExits
-	s.parForkCreates += st.forkCreates
+// addForkStats folds one committed epoch's driver-level stats, which the
+// fork system accumulated live since begin() zeroed them, into the real
+// system.
+func (s *System) addForkStats(fs *System) {
+	s.dispatches += fs.dispatches
+	s.preemptions += fs.preemptions
+	s.faultsSent += fs.faultsSent
+	s.instructions += fs.instructions
+	s.trCompiled += fs.trCompiled
+	s.trFused += fs.trFused
+	s.trEntries += fs.trEntries
+	s.trInstrs += fs.trInstrs
+	s.trDeopts += fs.trDeopts
+	s.trExits += fs.trExits
+	s.parForkCreates += fs.parForkCreates
 }
 
 // epochFork is one group's speculation apparatus, reused across epochs. Its
@@ -180,23 +128,6 @@ type epochFork struct {
 
 	worked bool
 	fault  *obj.Fault
-
-	// Pipeline state. pipeTry arms the in-goroutine continuation; launched
-	// marks that a continuation ran and awaits harvest next step; contBad
-	// that the continuation itself faulted, aborted, or overflowed the
-	// ring; harvested that this step consumed it without re-execution.
-	// stCpus/stSegs/stSeq1/stWorked/stStats freeze the stashed epoch's
-	// driver-side state at stash time — the fork's live state moves on to
-	// the continuation.
-	pipeTry   bool
-	launched  bool
-	contBad   bool
-	harvested bool
-	stCpus    []CPU
-	stSegs    []uint64
-	stSeq1    uint64
-	stWorked  bool
-	stStats   forkStats
 }
 
 // parallelEligible reports whether this step may run on the parallel
@@ -319,7 +250,6 @@ func (fk *epochFork) begin(s *System, members []int, tr *trace.Log) {
 		fs.Table.SetTracer(nil)
 	}
 	fk.worked, fk.fault = false, nil
-	fk.launched, fk.contBad = false, false
 }
 
 // run executes the group's quanta sequentially in ascending processor
@@ -343,278 +273,46 @@ func (fk *epochFork) run(quantum vtime.Cycles) {
 	}
 }
 
-// runPipelined runs the epoch and, when it ends cleanly and the step
-// permits, stashes it and speculatively runs the next quantum in the same
-// fork — the pipeline's wall-clock overlap with slower groups. The
-// continuation's own cleanliness is judged at the next step's harvest.
-func (fk *epochFork) runPipelined(quantum vtime.Cycles) {
-	fk.run(quantum)
-	if !fk.pipeTry || fk.fault != nil || fk.sys.specDead() || fk.overflowed() {
-		return
-	}
-	if fk.log != nil && fk.log.Seq()-fk.seq0 > forkLogCapacity/2 {
-		// The ring must hold this epoch's events until commit *and* the
-		// continuation's until harvest; without headroom for both, don't
-		// risk evicting the former.
-		return
-	}
-	fk.stash()
-	fk.launched = true
-	fk.run(quantum)
-	fk.contBad = fk.fault != nil || fk.sys.specDead() || fk.overflowed()
-}
-
-// stash freezes the clean epoch's driver-side state — CPU values, trace
-// watermarks, stats, the worked flag — alongside the fork layers' own
-// stash (Table.ForkStash), then rewinds the live state for the
-// continuation epoch.
-func (fk *epochFork) stash() {
-	fk.stCpus = fk.stCpus[:0]
-	for j := range fk.members {
-		fk.stCpus = append(fk.stCpus, *fk.cpus[j])
-	}
-	fk.stSegs = append(fk.stSegs[:0], fk.segs...)
-	if fk.log != nil {
-		fk.stSeq1 = fk.log.Seq()
-	}
-	fk.stWorked, fk.worked = fk.worked, false
-	fk.stStats = fk.sys.takeForkStats()
-	fk.sys.Table.ForkStash()
-	// Fork execution caches never survive an epoch boundary (xcache.go):
-	// the continuation must re-prime so its reads and context writes are
-	// recorded in its own epoch's footprint, not the stashed one's.
-	for j := range fk.members {
-		if xc := fk.cpus[j].xc; xc != nil {
-			xc.invalidate()
-		}
-	}
-}
-
 // overflowed reports whether the fork's trace ring wrapped this epoch —
-// events were lost, so faithful re-emission is impossible. With a pending
-// stash the check covers both epochs: the ring holds them back to back.
+// events were lost, so faithful re-emission is impossible.
 func (fk *epochFork) overflowed() bool {
 	return fk.log != nil && fk.log.Seq()-fk.seq0 > forkLogCapacity
 }
 
-// pipeCheck judges last step's pipelined continuations before anything
-// else runs: they remain harvestable only if this step looks exactly like
-// the one they speculated for — same quantum, no timers or injector, the
-// same tracing mode, and no external mutation of table or memory since the
-// launching step committed (MutGen covers byte writes, allocation,
-// destruction, and reservation refills alike). Per-group validity (CPU
-// state, footprint disjointness, grouping) is judged later, in
-// stepParallel, where the groups are known.
-func (s *System) pipeCheck(quantum vtime.Cycles) {
-	if !s.pipeHave {
-		return
-	}
-	if quantum == s.pipeQuantum &&
-		len(s.timers) == 0 && s.inj == nil &&
-		(s.Tracer() != nil) == s.pipeTraced &&
-		s.Table.MutGen() == s.pipeMutSnap {
-		s.pipeHarvest = true
-		return
-	}
-	s.dropStashes()
-}
-
-// dropStashes discards every pending continuation: the forks re-run their
-// quanta fresh next epoch. Dropped forks are tainted — the continuation
-// may have primed decode caches from bytes that will never commit.
-func (s *System) dropStashes() {
-	if !s.pipeHave {
-		return
-	}
-	for _, fk := range s.forks {
-		if fk != nil && fk.launched {
-			fk.launched = false
-			fk.tainted = true
-			s.parPipeDrops++
-		}
-	}
-	s.pipeHave, s.pipeHarvest = false, false
-}
-
-// dropStashFor discards the pending continuation of the group containing
-// processor id, if any — used when a reservation refill changes state that
-// the continuation speculated against.
-func (s *System) dropStashFor(id int) {
-	if !s.pipeHave {
-		return
-	}
-	for _, fk := range s.forks {
-		if fk == nil || !fk.launched {
-			continue
-		}
-		for _, m := range fk.members {
-			if m == id {
-				fk.launched = false
-				fk.tainted = true
-				s.parPipeDrops++
-				break
-			}
-		}
-	}
-}
-
-// stashValid reports whether a launched continuation may be harvested as
-// this step's epoch for the given group. Three families of assumptions are
-// proved:
-//
-//   - The group is the same processors, and each real CPU's state equals
-//     the stashed post-epoch snapshot the continuation started from (the
-//     commit copied that snapshot back, so inequality means something
-//     external — a refill, an idle-time advance, a host API — moved it).
-//   - The continuation itself ended cleanly (contBad).
-//   - The continuation's read/write footprint is disjoint from every
-//     *other* group's just-committed writes (lwDescs/lwPages, own bit
-//     excluded): anything it read of its own group's epoch it read through
-//     the fork chain's shadow, which holds exactly the committed values.
-//     Page-granular — conservative, never unsound.
-func (s *System) stashValid(fk *epochFork, members []int, gi int) bool {
-	if fk.contBad || len(fk.members) != len(members) {
-		return false
-	}
-	for j, id := range members {
-		if fk.members[j] != id {
-			return false
-		}
-		real := s.CPUs[id]
-		st := &fk.stCpus[j]
-		if real.proc != st.proc || real.sliceLeft != st.sliceLeft ||
-			real.offline != st.offline || real.Clock != st.Clock ||
-			real.Dispatches != st.Dispatches ||
-			real.Instructions != st.Instructions ||
-			real.IdleCycles != st.IdleCycles ||
-			real.rsvWant != st.rsvWant || !rsvSame(&real.rsv, &st.rsv) {
-			return false
-		}
-	}
-	own := uint64(1) << gi
-	for _, idx := range fk.sys.Table.ForkTouched() {
-		if s.lwDescs[idx]&^own != 0 {
-			return false
-		}
-	}
-	r, w := fk.sys.Table.ForkPages()
-	for _, p := range r {
-		if s.lwPages[p]&^own != 0 {
-			return false
-		}
-	}
-	for _, p := range w {
-		if s.lwPages[p]&^own != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// rsvSame compares reservation cursors without comparing slot contents:
-// combined with the refill-drop protocol (any refill that *invalidates* a
-// reservation drops its group's continuation), cursor equality implies the
-// continuation consumed exactly the slots and bytes the real reservation
-// will provide. The one refill that does not drop is the append-only slot
-// top-up: it extends the real slice's tail past the stashed length without
-// touching the consumed prefix or the cursor, so the real slice being
-// *longer* is compatible — the continuation consumed the shared prefix the
-// serial corner would consume, and the harvest copy-back keeps the longer
-// tail (see the merge in stepParallel).
-func rsvSame(a, b *obj.Reservation) bool {
-	return a.SRO == b.SRO && a.Gen == b.Gen && a.Level == b.Level &&
-		a.Next == b.Next && len(a.Slots) >= len(b.Slots) &&
-		a.Arena == b.Arena && a.ArenaOff == b.ArenaOff &&
-		a.Consumed == b.Consumed
-}
-
 // stepParallel runs one step's quanta concurrently on host goroutines (one
 // per affinity group) and commits, or falls back to serial replay. It is
-// only called from Step, after the contention prologue, pipeCheck and the
-// reservation refills, so busyThisStep and the harvest verdict are already
-// current.
+// only called from Step, after the contention prologue and the
+// reservation refills, so busyThisStep is already current.
 func (s *System) stepParallel(quantum vtime.Cycles) (bool, *obj.Fault) {
 	if len(s.forks) != len(s.CPUs) {
 		s.buildForks()
-		s.pipeHave, s.pipeHarvest = false, false
 	}
-	if s.regroup() {
-		// The partition moved: continuations speculated for the old
-		// groups cannot be harvested into the new ones.
-		s.dropStashes()
-	}
+	s.regroup()
 	groups := s.groups
 	s.parEpochs++
 	tr := s.Tracer()
 	active := s.forks[:len(groups)]
 
-	// Harvest: a continuation whose every assumption held IS this step's
-	// epoch for its group — no re-execution. Everything else re-runs.
 	for gi, fk := range active {
-		fk.harvested = false
-		if fk.launched {
-			if s.pipeHarvest && s.stashValid(fk, groups[gi], gi) {
-				fk.harvested = true
-			} else {
-				fk.tainted = true
-				s.parPipeDrops++
-			}
-			fk.launched = false
-		}
-	}
-	s.pipeHarvest = false
-
-	// Continuations are worth arming only in steady state: timers and
-	// injections act on real state between epochs, and bus contention
-	// needs the next step's population before any instruction runs.
-	pipeOK := !s.pipeOff && s.inj == nil && len(s.timers) == 0 && s.contention == 0
-
-	for gi, fk := range active {
-		if fk.harvested {
-			continue // its quantum already ran, last step
-		}
 		fk.begin(s, groups[gi], tr)
-		fk.pipeTry = pipeOK
 	}
 	var wg sync.WaitGroup
 	for _, fk := range active {
-		if fk.harvested {
-			continue
-		}
 		wg.Add(1)
 		go func(fk *epochFork) {
 			defer wg.Done()
-			fk.runPipelined(quantum)
+			fk.run(quantum)
 		}(fk)
 	}
 	wg.Wait()
 
 	aborted := false
 	reason := obj.ForkAbortNone
-	reasonSet := false
 	for _, fk := range active {
-		if fk.harvested {
-			continue // proved clean at harvest
-		}
-		var bad bool
-		if fk.launched {
-			// The stashed epoch was clean when the continuation armed;
-			// only a ring overflow (continuation events evicting its
-			// predecessor's before emission) can still poison it.
-			bad = fk.overflowed()
-			if bad && !reasonSet {
-				reasonSet = true // overflow counts as "other"
+		if fk.fault != nil || fk.sys.specDead() || fk.overflowed() {
+			if !aborted && fk.fault == nil && !fk.overflowed() {
+				reason = fk.sys.Table.ForkAbortReasonIs()
 			}
-		} else {
-			bad = fk.fault != nil || fk.sys.specDead() || fk.overflowed()
-			if bad && !reasonSet {
-				reasonSet = true
-				if fk.fault == nil && !fk.overflowed() {
-					reason = fk.sys.Table.ForkAbortReasonIs()
-				}
-			}
-		}
-		if bad {
 			aborted = true
 		}
 	}
@@ -635,16 +333,10 @@ func (s *System) stepParallel(quantum vtime.Cycles) (bool, *obj.Fault) {
 	}
 	if aborted {
 		// Discard everything and replay on the real state: speculation
-		// never touched it, so the replay IS the serial execution. A
-		// continuation launched this step dies with its epoch.
+		// never touched it, so the replay IS the serial execution.
 		for _, fk := range active {
-			if fk.launched {
-				fk.launched = false
-				s.parPipeDrops++
-			}
 			fk.tainted = true
 		}
-		s.pipeHave = false
 		s.parReplays++
 		s.parStreak++
 		if s.parCooldown > 0 && s.parStreak >= parStreakLimit {
@@ -658,80 +350,20 @@ func (s *System) stepParallel(quantum vtime.Cycles) (bool, *obj.Fault) {
 
 	// Commit in canonical group order (groups are leader-ordered and
 	// pairwise disjoint, so any order yields the same bytes), accumulating
-	// the epoch's descriptor write set for scoped invalidation. A fork
-	// whose continuation is pending commits its *stashed* epoch from the
-	// frozen values; its live state keeps speculating. When any group
-	// launched, the committed write sets are also recorded per group
-	// (lwDescs/lwPages) for next step's harvest validation.
+	// the epoch's descriptor write set for scoped invalidation.
 	worked := false
-	anyLaunch := false
-	for _, fk := range active {
-		if fk.launched {
-			anyLaunch = true
-			break
-		}
-	}
-	if anyLaunch {
-		if s.lwDescs == nil {
-			s.lwDescs = make(map[obj.Index]uint64)
-			s.lwPages = make(map[uint32]uint64)
-		}
-		clear(s.lwDescs)
-		clear(s.lwPages)
-	}
 	writes := s.cfWrites[:0]
 	for gi, fk := range active {
-		var written []obj.Index
-		var wpages []uint32
-		if fk.launched {
-			_, wpages = fk.sys.Table.ForkPendingPages()
-			written = fk.sys.Table.ForkCommitPending()
-			for j, id := range groups[gi] {
-				real := s.CPUs[id]
-				xc := real.xc
-				*real = fk.stCpus[j]
-				real.xc = xc // keep the real cache; scoped invalidation decides its fate
-			}
-			s.addForkStats(&fk.stStats)
-			worked = worked || fk.stWorked
-			s.parPipeLaunches++
-			// MergeEpochCache waits for the harvest: the fork cache may
-			// already hold decodes of the continuation's uncommitted bytes.
-		} else {
-			_, wpages = fk.sys.Table.ForkPages()
-			written = fk.sys.Table.ForkCommit()
-			for j, id := range groups[gi] {
-				real := s.CPUs[id]
-				xc := real.xc
-				rsvSlots := real.rsv.Slots
-				*real = *fk.cpus[j]
-				real.xc = xc
-				if fk.harvested && len(rsvSlots) > len(real.rsv.Slots) {
-					// An append-only slot refill extended the real tail
-					// after the stash the continuation ran from; the
-					// consumed prefix is shared, so keep the longer slice
-					// and the continuation's cursor.
-					real.rsv.Slots = rsvSlots
-				}
-			}
-			st := fk.sys.takeForkStats()
-			s.addForkStats(&st)
-			fk.sys.Domains.MergeEpochCache(s.Domains)
-			worked = worked || fk.worked
-			if fk.harvested {
-				s.parPipeCommits++
-			}
+		writes = append(writes, fk.sys.Table.ForkCommit()...)
+		for j, id := range groups[gi] {
+			real := s.CPUs[id]
+			xc := real.xc
+			*real = *fk.cpus[j]
+			real.xc = xc // keep the real cache; scoped invalidation decides its fate
 		}
-		writes = append(writes, written...)
-		if anyLaunch {
-			bit := uint64(1) << gi
-			for _, idx := range written {
-				s.lwDescs[idx] |= bit
-			}
-			for _, p := range wpages {
-				s.lwPages[p] |= bit
-			}
-		}
+		s.addForkStats(fk.sys)
+		fk.sys.Domains.MergeEpochCache(s.Domains)
+		worked = worked || fk.worked
 	}
 	s.cfWrites = writes
 	s.scopedInvalidate(writes)
@@ -744,15 +376,6 @@ func (s *System) stepParallel(quantum vtime.Cycles) (bool, *obj.Fault) {
 		if f := s.fireTimers(s.Now()); f != nil {
 			return worked, f
 		}
-	}
-	// Arm the pipeline for the next step. The MutGen snapshot is taken
-	// last: everything after it and before the next pipeCheck is external
-	// mutation the continuations must not survive.
-	s.pipeHave = anyLaunch
-	if anyLaunch {
-		s.pipeQuantum = quantum
-		s.pipeTraced = tr != nil
-		s.pipeMutSnap = s.Table.MutGen()
 	}
 	return worked, nil
 }
@@ -813,9 +436,6 @@ func cacheTouches(xc *execCache, written []obj.Index) bool {
 // log in ascending processor order — the serial backend's emission order.
 // Within a group the segments were recorded in member order (run()), and
 // across groups disjointness makes the serial order the canonical choice.
-// A fork with a pending continuation emits its *stashed* watermarks; a
-// harvested fork emits the continuation's segment, which starts at the
-// stash-time sequence rather than the (last-step) epoch start.
 func (s *System) emitEpochTrace(tr *trace.Log, active []*epochFork) {
 	for id := range s.CPUs {
 		fk := active[s.groupOf[id]]
@@ -826,20 +446,11 @@ func (s *System) emitEpochTrace(tr *trace.Log, active []*epochFork) {
 		for fk.members[j] != id {
 			j++
 		}
-		segs := fk.segs
-		floor := fk.seq0
-		if fk.launched {
-			segs = fk.stSegs
-		} else if fk.harvested {
-			floor = fk.stSeq1
-		}
-		evs := fk.log.Events()
-		lo := floor - fk.seq0
+		lo := fk.seq0
 		if j > 0 {
-			lo = segs[j-1] - fk.seq0
+			lo = fk.segs[j-1]
 		}
-		hi := segs[j] - fk.seq0
-		for _, e := range evs[lo:hi] {
+		for _, e := range fk.log.Events()[lo-fk.seq0 : fk.segs[j]-fk.seq0] {
 			tr.Emit(e.Kind, e.Obj, e.Arg, e.Aux)
 		}
 	}
@@ -858,8 +469,8 @@ func affKey(a, b int) int {
 // union-find with the smallest member as each component's root. The
 // resulting groups are leader-ordered with ascending members, so the
 // partition is a pure function of the score set — identical across runs.
-// It reports whether the partition differs from the previous epoch's.
-func (s *System) regroup() bool {
+// A partition that differs from the previous epoch's counts as a regroup.
+func (s *System) regroup() {
 	if s.affinity == nil {
 		s.affinity = make(map[int]int)
 	}
@@ -915,18 +526,15 @@ func (s *System) regroup() bool {
 			s.groups[gi] = append(s.groups[gi], i)
 		}
 	}
-	changed := len(s.prevGroupOf) != n
-	if !changed {
+	if len(s.prevGroupOf) == n {
 		for i, g := range groupOf {
 			if s.prevGroupOf[i] != g {
-				changed = true
 				s.parRegroups++
 				break
 			}
 		}
 	}
 	s.prevGroupOf = append(s.prevGroupOf[:0], groupOf...)
-	return changed
 }
 
 // bumpAffinity records this epoch's cross-group conflicts: every processor
@@ -953,30 +561,6 @@ func (s *System) bumpAffinity() {
 // detector: which groups read it, which wrote it.
 type touchers struct{ readers, writers uint64 }
 
-// epochFootprint reports the fork's footprint for the epoch being
-// committed this step: the stashed one when a continuation is pending, the
-// live one otherwise.
-func (fk *epochFork) epochFootprint() (touched, dwrites []obj.Index, r, w []uint32) {
-	t := fk.sys.Table
-	if fk.launched {
-		touched, dwrites = t.ForkPendingTouched(), t.ForkPendingDescWrites()
-		r, w = t.ForkPendingPages()
-		return
-	}
-	touched, dwrites = t.ForkTouched(), t.ForkDescWrites()
-	r, w = t.ForkPages()
-	return
-}
-
-// epochPageBits reports the committing epoch's byte-granular footprint of
-// one page, from the stash when a continuation is pending.
-func (fk *epochFork) epochPageBits(p uint32) (read, write mem.PageBits) {
-	if fk.launched {
-		return fk.sys.Table.ForkPendingPageFootprint(p)
-	}
-	return fk.sys.Table.ForkPageFootprint(p)
-}
-
 // forkConflicts reports whether any two groups' epoch footprints overlap in
 // a way serial execution could have observed: a descriptor slot or memory
 // byte written by one group and touched by any other. Conflicting group
@@ -995,17 +579,18 @@ func (s *System) forkConflicts(active []*epochFork) bool {
 	s.cfPairs = s.cfPairs[:0]
 	for i, fk := range active {
 		bit := uint64(1) << i
-		touched, dwrites, r, w := fk.epochFootprint()
-		for _, idx := range touched {
+		tab := fk.sys.Table
+		for _, idx := range tab.ForkTouched() {
 			t := descs[idx]
 			t.readers |= bit
 			descs[idx] = t
 		}
-		for _, idx := range dwrites {
+		for _, idx := range tab.ForkDescWrites() {
 			t := descs[idx]
 			t.writers |= bit
 			descs[idx] = t
 		}
+		r, w := tab.ForkPages()
 		for _, p := range r {
 			t := pages[p]
 			t.readers |= bit
@@ -1061,9 +646,9 @@ func (s *System) forkConflicts(active []*epochFork) bool {
 		}
 		s.cfIDs = ids
 		for ai := 0; ai < len(ids); ai++ {
-			ra, wa := active[ids[ai]].epochPageBits(p)
+			ra, wa := active[ids[ai]].sys.Table.ForkPageFootprint(p)
 			for bi := ai + 1; bi < len(ids); bi++ {
-				rb, wb := active[ids[bi]].epochPageBits(p)
+				rb, wb := active[ids[bi]].sys.Table.ForkPageFootprint(p)
 				for k := range wa {
 					if wa[k]&(rb[k]|wb[k]) != 0 || wb[k]&(ra[k]|wa[k]) != 0 {
 						s.cfPairs = append(s.cfPairs, [2]int{ids[ai], ids[bi]})
@@ -1105,16 +690,16 @@ type ParStats struct {
 	// previous epoch's — conflict pressure reshaping the schedule.
 	Regroups uint64
 
-	// Pipeline outcomes. PipeLaunches counts epochs committed while their
-	// group was already speculating the next quantum; PipeCommits counts
-	// quanta harvested without re-execution; PipeDrops counts
-	// continuations discarded at validation (wasted speculative work,
-	// never wrong bytes). ForkCreates counts objects created from CPU
-	// reservations — in-fork committed or consumed serially.
+	// Deprecated: no effect; the epoch pipeline was removed. Kept so
+	// perfbench/ compiles; remove with the next benchmark change. The
+	// three counters always read zero.
 	PipeLaunches uint64
 	PipeCommits  uint64
 	PipeDrops    uint64
-	ForkCreates  uint64
+
+	// ForkCreates counts objects created from CPU reservations — in-fork
+	// committed or consumed serially.
+	ForkCreates uint64
 
 	// WindowDeclines counts execution-cache windows a fork refused
 	// because the extent straddles a shadow chunk boundary (see
@@ -1138,9 +723,6 @@ func (s *System) ParStats() ParStats {
 		ScopedInvalidations: s.parScopedInv,
 		CacheSurvivals:      s.parSurvivals,
 		Regroups:            s.parRegroups,
-		PipeLaunches:        s.parPipeLaunches,
-		PipeCommits:         s.parPipeCommits,
-		PipeDrops:           s.parPipeDrops,
 		ForkCreates:         s.parForkCreates,
 		WindowDeclines:      s.winDeclines(),
 	}

@@ -264,7 +264,7 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 		{"parallel-cache", true, false, true},
 		{"parallel-trace", true, false, false},
 	}
-	var forkCreates, pipeLaunches uint64
+	var forkCreates, commits, replays uint64
 	for _, seed := range corpusSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -293,19 +293,24 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 						t.Fatalf("parallel backend never engaged (%s): %+v", v.name, ps)
 					}
 					forkCreates += ps.ForkCreates
-					pipeLaunches += ps.PipeLaunches
+					commits += ps.Commits
+					replays += ps.Replays
 				}
 			}
 		})
 	}
 	// The corpus contains allocation-heavy seeds selected to exercise the
-	// reserved-create and pipelined-continuation machinery; a corpus where
-	// neither ever fires would be green while covering nothing.
+	// reserved-create path, and both ends of an epoch: a commit and a
+	// serial replay. A corpus where any of them never fires would be green
+	// while covering nothing.
 	if forkCreates == 0 {
 		t.Error("no fuzz seed committed a create in-fork — the reserved-create path went unexercised")
 	}
-	if pipeLaunches == 0 {
-		t.Error("no fuzz seed launched a pipelined continuation — the pipeline went unexercised")
+	if commits == 0 {
+		t.Error("no fuzz seed committed an epoch — the commit path went unexercised")
+	}
+	if replays == 0 {
+		t.Error("no fuzz seed replayed an epoch serially — the discard path went unexercised")
 	}
 }
 

@@ -1,10 +1,10 @@
 package gdp
 
-// Unit tests for the epoch pipeline and in-fork structural commit: the
-// knobs (NoPipeline, NoStructuralCommit) must be pure performance
-// switches — byte-identical results — and the default configuration must
-// actually use both mechanisms (occupancy above one, creates committing
-// in-fork) on the workload shapes they exist for.
+// Unit tests for the parallel backend's knobs and in-fork structural
+// commit: the backend choice and NoStructuralCommit must be pure
+// performance switches — byte-identical results — and the default
+// configuration must actually commit creates in-fork on the allocation
+// shape reservations exist for.
 
 import (
 	"testing"
@@ -43,10 +43,10 @@ func allocWorkload(t *testing.T, s *System, workers int) []obj.AD {
 	return results
 }
 
-// TestPipelineKnobsAreSemanticsFree: the same compute workload run with
-// the pipeline on, the pipeline off, and structural commit off must end in
-// identical machine states — and only the default run may pipeline.
-func TestPipelineKnobsAreSemanticsFree(t *testing.T) {
+// TestParallelKnobsAreSemanticsFree: the same compute workload run on the
+// serial backend, the parallel backend, and the parallel backend with
+// structural commit off must end in identical machine states.
+func TestParallelKnobsAreSemanticsFree(t *testing.T) {
 	build := func(cfg Config) *System {
 		cfg.Processors = 2
 		s, err := New(cfg)
@@ -58,54 +58,15 @@ func TestPipelineKnobsAreSemanticsFree(t *testing.T) {
 		return s
 	}
 	def := build(Config{HostParallel: true})
-	noPipe := build(Config{HostParallel: true, NoPipeline: true})
 	noStruct := build(Config{HostParallel: true, NoStructuralCommit: true})
 	serial := build(Config{})
-	for _, s := range []*System{def, noPipe, noStruct, serial} {
+	for _, s := range []*System{def, noStruct, serial} {
 		if _, f := s.Run(100_000_000); f != nil {
 			t.Fatal(f)
 		}
 	}
 	mustEqualSystems(t, serial, def)
-	mustEqualSystems(t, serial, noPipe)
 	mustEqualSystems(t, serial, noStruct)
-
-	if ps := def.ParStats(); ps.PipeLaunches == 0 || ps.PipeCommits == 0 {
-		t.Fatalf("default parallel run never pipelined: %+v", ps)
-	}
-	if ps := noPipe.ParStats(); ps.PipeLaunches != 0 {
-		t.Fatalf("NoPipeline run launched continuations: %+v", ps)
-	}
-}
-
-// TestPipelineOccupancy: on a clean compute workload the pipeline should
-// be running well above one epoch per barrier — most steps harvest a
-// continuation AND launch the next one, so launches approach epoch count.
-func TestPipelineOccupancy(t *testing.T) {
-	s, err := New(Config{Processors: 2, HostParallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetTracer(trace.New(1 << 16))
-	computeWorkload(t, s, 2)
-	if _, f := s.Run(100_000_000); f != nil {
-		t.Fatal(f)
-	}
-	ps := s.ParStats()
-	if ps.Epochs == 0 {
-		t.Fatalf("parallel backend never engaged: %+v", ps)
-	}
-	occ := float64(ps.Epochs+ps.PipeLaunches) / float64(ps.Epochs)
-	if occ <= 1.0 {
-		t.Fatalf("pipeline occupancy %.3f not above 1 (epochs=%d launches=%d): %+v",
-			occ, ps.Epochs, ps.PipeLaunches, ps)
-	}
-	if ps.PipeCommits == 0 {
-		t.Fatalf("continuations launched but none harvested: %+v", ps)
-	}
-	if ps.PipeCommits > ps.PipeLaunches {
-		t.Fatalf("harvested more continuations than were launched: %+v", ps)
-	}
 }
 
 // TestInForkCreateCommits: the allocate shape must commit its creates

@@ -77,9 +77,7 @@ func (s *System) reservationBar() {
 // CPU order, on the real system between steps. It runs identically in
 // every corner — backend choice happens after it — which is what keeps
 // reservation grants (ordinary serial structural operations) out of the
-// determinism argument. A refill that actually changed the reservation
-// invalidates any pipelined continuation speculating against the old
-// cursor on that CPU's group.
+// determinism argument.
 func (s *System) refillReservations() {
 	if s.structOff {
 		return
@@ -88,9 +86,7 @@ func (s *System) refillReservations() {
 		if cpu.rsv.SRO == obj.NilIndex && !cpu.rsvWant.Valid() {
 			continue // never allocates: zero cost
 		}
-		if s.SROs.RefillReservation(&cpu.rsv, cpu.rsvWant) {
-			s.dropStashFor(cpu.ID)
-		}
+		s.SROs.RefillReservation(&cpu.rsv, cpu.rsvWant)
 		cpu.rsvWant = obj.NilAD
 	}
 }

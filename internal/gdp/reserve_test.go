@@ -1,7 +1,7 @@
 package gdp_test
 
 // Property test for reservation hygiene: however an epoch ends — commit,
-// pipelined commit, abort with serial replay, cooldown — the descriptor
+// abort with serial replay, cooldown — the descriptor
 // slots and arena bytes a reservation holds are conserved. The test drives
 // allocation-heavy workloads into every termination path (claim
 // exhaustion, mid-run heap destruction making reservations stale, abort

@@ -158,26 +158,9 @@ type System struct {
 	cfPairs     [][2]int
 	cfWrites    []obj.Index
 
-	// Epoch-pipeline state (parallel.go). pipeOff disables pipelined
-	// continuations (Config.NoPipeline); structOff disables in-fork
-	// structural commit via reservations (Config.NoStructuralCommit).
-	// After a step whose fast groups ran the next quantum speculatively,
-	// pipeHave is set, pipeQuantum/pipeTraced record the conditions the
-	// continuations assumed, and pipeMutSnap snapshots Table.MutGen() so
-	// any external mutation between steps invalidates them (pipeCheck).
-	// pipeHarvest is the per-step verdict; lwDescs/lwPages map the
-	// last-committed epoch's descriptor and page writes to group bitmasks,
-	// so a continuation can prove its footprint disjoint from every other
-	// group's commits (stashValid).
-	pipeOff     bool
-	structOff   bool
-	pipeHave    bool
-	pipeHarvest bool
-	pipeTraced  bool
-	pipeQuantum vtime.Cycles
-	pipeMutSnap uint64
-	lwDescs     map[obj.Index]uint64
-	lwPages     map[uint32]uint64
+	// structOff disables in-fork structural commit via reservations
+	// (Config.NoStructuralCommit).
+	structOff bool
 
 	// Conflict-affinity scheduling state (parallel.go). affinity maps a
 	// canonical processor-pair key to a decayed conflict score; groups is
@@ -224,10 +207,8 @@ type System struct {
 	// Parallel-backend stats. parAborts splits by cause into
 	// parAbortsStruct (unreservable structural operations), parAbortsRes
 	// (reservation exhaustion mid-epoch), and parAbortsOther (faults,
-	// trace-ring overflow). parPipeLaunches counts quanta run as pipelined
-	// continuations, parPipeCommits those harvested without re-execution,
-	// parPipeDrops continuations discarded at validation. parForkCreates
-	// counts objects created from reservations (committed or serial).
+	// trace-ring overflow). parForkCreates counts objects created from
+	// reservations (committed or serial).
 	// parWinDeclines holds the fork window declines of forks since
 	// rebuilt; ParStats adds the live forks' own counts.
 	parEpochs       uint64
@@ -242,9 +223,6 @@ type System struct {
 	parScopedInv    uint64
 	parSurvivals    uint64
 	parRegroups     uint64
-	parPipeLaunches uint64
-	parPipeCommits  uint64
-	parPipeDrops    uint64
 	parForkCreates  uint64
 	parWinDeclines  uint64
 }
@@ -310,10 +288,8 @@ type Config struct {
 	// only ever run from a live execution cache.
 	NoTraceJIT bool
 
-	// NoPipeline disables pipelined epoch continuations on the parallel
-	// backend, restoring the strict per-step barrier: every group waits
-	// for every other group's commit before starting its next quantum.
-	// Results are identical either way (see DESIGN.md §13).
+	// Deprecated: no effect; the epoch pipeline was removed. Kept so
+	// perfbench/ compiles; remove with the next benchmark change.
 	NoPipeline bool
 
 	// NoStructuralCommit disables per-CPU reservations, so every create
@@ -387,7 +363,6 @@ func New(cfg Config) (*System, error) {
 		deadlineBase: deadlineBase,
 		hostpar:      cfg.HostParallel,
 		parCooldown:  parCooldown,
-		pipeOff:      cfg.NoPipeline,
 		structOff:    cfg.NoStructuralCommit,
 		xcOff:        cfg.NoExecCache,
 		trOff:        cfg.NoTraceJIT,

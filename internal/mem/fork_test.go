@@ -135,13 +135,21 @@ func TestForkWindow(t *testing.T) {
 	}
 
 	// Chunks never move: the next epoch's window is the same memory,
-	// refreshed from the parent.
+	// refreshed from the parent — including a byte the parent changed
+	// after this epoch copied the page, which the stale shadow still holds
+	// at its old value.
+	if err := m.WriteByteAt(in, 2, 0x55); err != nil {
+		t.Fatal(err)
+	}
+	if w[2] != 0 {
+		t.Fatalf("parent write reached the shadow before reset: %x", w)
+	}
 	f.ForkReset()
 	w2 := f.Window(in)
 	if &w2[0] != &w[0] {
 		t.Fatal("shadow chunk moved across ForkReset")
 	}
-	if w2[1] != 0x42 || w2[5] != 0x99 {
+	if w2[1] != 0x42 || w2[2] != 0x55 || w2[5] != 0x99 {
 		t.Fatalf("window after reset = %x", w2)
 	}
 	if n := f.ForkWindowDeclines(); n != 1 {
@@ -174,79 +182,40 @@ func TestForkCommitByteExactOnSharedPage(t *testing.T) {
 	}
 }
 
-func TestForkStashCommitPending(t *testing.T) {
-	m := New(4096)
-	e, _ := m.Alloc(1024)
-	f := m.Fork()
-	f.ForkReset()
-	if err := f.WriteByteAt(e, 300, 7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadByteAt(e, 10); err != nil {
-		t.Fatal(err)
-	}
-	f.ForkStash()
-
-	// The continuation reads its predecessor's value and records a
-	// fresh footprint.
-	if v, _ := f.ReadByteAt(e, 300); v != 7 {
-		t.Fatalf("continuation reads %d, want the stashed 7", v)
-	}
-	if err := f.WriteByteAt(e, 301, 8); err != nil {
-		t.Fatal(err)
-	}
-	if r, w := f.ForkPendingFootprint(); len(r) != 1 || r[0] != 0 || len(w) != 1 || w[0] != 1 {
-		t.Fatalf("pending footprint r=%v w=%v", r, w)
-	}
-	if r, w := f.ForkFootprint(); len(r) != 1 || r[0] != 1 || len(w) != 1 || w[0] != 1 {
-		t.Fatalf("live footprint r=%v w=%v", r, w)
-	}
-	if _, w := f.ForkPendingPageFootprint(1); w[0] != 1<<(300-256) {
-		t.Fatalf("pending write bits %b", w[0])
-	}
-
-	f.ForkCommitPending()
-	if v, _ := m.ReadByteAt(e, 300); v != 7 {
-		t.Fatalf("stashed byte = %d after ForkCommitPending", v)
-	}
-	if v, _ := m.ReadByteAt(e, 301); v != 0 {
-		t.Fatalf("continuation byte leaked into the parent: %d", v)
-	}
-	f.ForkCommit()
-	if v, _ := m.ReadByteAt(e, 301); v != 8 {
-		t.Fatalf("continuation byte = %d after ForkCommit", v)
-	}
-}
-
-// TestForkChainWrapScrubs forces the chain stamp to wrap: a page copied at
-// chain 1 must not pass as fresh when the wrapped counter returns to 1.
+// TestForkChainWrapScrubs forces the stamp to wrap after a read-only
+// touch: a page copied into the shadow by a read at epoch 1 must not be
+// served stale once the parent has written it and the counter returns to 1.
 func TestForkChainWrapScrubs(t *testing.T) {
 	m := New(1024)
 	e, _ := m.Alloc(8)
 	f := m.Fork()
-	if v, _ := f.ReadByteAt(e, 0); v != 0 { // copied at chain 1
+	if v, _ := f.ReadByteAt(e, 0); v != 0 { // touched at epoch 1
 		t.Fatal(v)
 	}
 	if err := m.WriteByteAt(e, 0, 9); err != nil {
 		t.Fatal(err)
 	}
-	f.fk.chain = ^uint32(0)
+	f.fk.epoch = ^uint32(0)
 	f.ForkReset()
-	if f.fk.chain != 1 {
-		t.Fatalf("chain = %d after wrap, want 1", f.fk.chain)
+	if f.fk.epoch != 1 {
+		t.Fatalf("epoch = %d after wrap, want 1", f.fk.epoch)
 	}
 	if v, _ := f.ReadByteAt(e, 0); v != 9 {
-		t.Fatalf("fork reads stale %d after chain wrap, want 9", v)
+		t.Fatalf("fork reads stale %d after stamp wrap, want 9", v)
 	}
 }
 
-// TestForkEpochWrapScrubs forces the epoch stamp to wrap: footprint bits
-// and list membership from epoch 1 must not survive into the new epoch 1.
+// TestForkEpochWrapScrubs forces the epoch stamp to wrap: a page copied
+// and recorded at epoch 1 must be neither served from the stale shadow nor
+// left on the footprint when the wrapped counter returns to 1.
 func TestForkEpochWrapScrubs(t *testing.T) {
 	m := New(1024)
 	e, _ := m.Alloc(8)
 	f := m.Fork()
-	if err := f.WriteByteAt(e, 0, 1); err != nil { // recorded in epoch 1
+	if err := f.WriteByteAt(e, 0, 1); err != nil { // copied and recorded at epoch 1
+		t.Fatal(err)
+	}
+	if err := m.WriteByteAt(e, 1, 9); err != nil {
 		t.Fatal(err)
 	}
 	f.fk.epoch = ^uint32(0)
@@ -257,14 +226,17 @@ func TestForkEpochWrapScrubs(t *testing.T) {
 	if r, w := f.ForkPageFootprint(0); r != (PageBits{}) || w != (PageBits{}) {
 		t.Fatalf("stale footprint after epoch wrap: r=%x w=%x", r, w)
 	}
-	if err := f.WriteByteAt(e, 1, 1); err != nil {
+	if v, _ := f.ReadByteAt(e, 1); v != 9 {
+		t.Fatalf("fork reads stale %d after epoch wrap, want 9", v)
+	}
+	if err := f.WriteByteAt(e, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, w := f.ForkFootprint(); len(w) != 1 || w[0] != 0 {
-		t.Fatalf("write pages = %v, want [0]", w)
+	if r, w := f.ForkFootprint(); len(r) != 1 || r[0] != 0 || len(w) != 1 || w[0] != 0 {
+		t.Fatalf("footprint pages r=%v w=%v, want [0] [0]", r, w)
 	}
-	if _, w := f.ForkPageFootprint(0); w[0] != 0b10 {
-		t.Fatalf("write bits = %b, want 10", w[0])
+	if _, w := f.ForkPageFootprint(0); w[0] != 0b100 {
+		t.Fatalf("write bits = %b, want 100", w[0])
 	}
 }
 

@@ -57,13 +57,6 @@ type Memory struct {
 	free []Extent // sorted by Base, coalesced
 	used uint32
 
-	// muts counts external mutations (writes, allocation, freeing) on a
-	// non-fork memory. The parallel driver snapshots it to detect state
-	// changes made outside the epoch engine — epoch-fork commits
-	// deliberately do not bump it, because the driver accounts for its
-	// own committed writes separately.
-	muts uint64
-
 	// fk marks this Memory as an epoch-fork view (see fork.go): reads
 	// and writes are routed through a copy-on-write shadow and recorded
 	// as footprints, and structural operations abort the fork.
@@ -104,11 +97,6 @@ func (m *Memory) LargestFree() uint32 {
 // of external fragmentation used by the E2/E9 experiments.
 func (m *Memory) FragCount() int { return len(m.free) }
 
-// MutGen reports a counter that advances on every mutation performed
-// outside the epoch-fork engine: byte writes, allocation, freeing,
-// relocation. Fork commits do not advance it.
-func (m *Memory) MutGen() uint64 { return m.muts }
-
 // Alloc carves a segment of n bytes from physical memory using first-fit,
 // the policy simple enough to microcode (the 432 performed allocation in
 // the create-object instruction, so the policy had to be trivial).
@@ -136,7 +124,6 @@ func (m *Memory) Alloc(n uint32) (Extent, error) {
 			m.free[i] = Extent{Base: e.Base + Addr(n), Len: e.Len - n}
 		}
 		m.used += n
-		m.muts++
 		// The hardware zeroed fresh segments: a new object must not
 		// leak a previous object's contents through a fresh
 		// capability.
@@ -175,7 +162,6 @@ func (m *Memory) Free(e Extent) error {
 	copy(m.free[i+1:], m.free[i:])
 	m.free[i] = e
 	m.used -= e.Len
-	m.muts++
 	m.coalesce(i)
 	return nil
 }
@@ -229,7 +215,6 @@ func (m *Memory) WriteByteAt(e Extent, off uint32, v byte) error {
 		m.fk.access(b, []byte{v}, true)
 		return nil
 	}
-	m.muts++
 	m.data[b] = v
 	return nil
 }
@@ -260,7 +245,6 @@ func (m *Memory) WriteWord(e Extent, off uint32, v uint16) error {
 		m.fk.access(b, []byte{byte(v), byte(v >> 8)}, true)
 		return nil
 	}
-	m.muts++
 	d := m.data
 	d[b] = byte(v)
 	d[b+1] = byte(v >> 8)
@@ -293,7 +277,6 @@ func (m *Memory) WriteDWord(e Extent, off uint32, v uint32) error {
 		m.fk.access(b, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}, true)
 		return nil
 	}
-	m.muts++
 	d := m.data
 	d[b] = byte(v)
 	d[b+1] = byte(v >> 8)
@@ -327,7 +310,6 @@ func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
 		m.fk.access(b, p, true)
 		return nil
 	}
-	m.muts++
 	copy(m.data[b:], p)
 	return nil
 }

@@ -26,13 +26,9 @@ import "repro/internal/mem"
 // it consumes pre-granted slots and arena bytes, so it commits with the
 // epoch's write set instead of aborting it.
 //
-// Pipelining adds ForkStash: a fork whose epoch finished cleanly can
-// freeze that epoch's footprint and values for a later in-order commit
-// (ForkCommitPending) and immediately continue into the next epoch in the
-// same shadow. The shadow's copied-from-parent validity is tracked by a
-// *chain* stamp that survives the stash — the continuation epoch reads
-// its predecessor's uncommitted values — while per-epoch footprint
-// membership is tracked by a separate *epoch* stamp that the stash bumps.
+// Each shadow slot carries one stamp: the epoch in which it was copied
+// from the parent and joined the touched list. ForkReset bumps the epoch,
+// so every slot is re-copied on its first touch of the new epoch.
 //
 // The shadow is sparse: a directory with one slot per descChunkSize
 // descriptors of the parent table, each chunk (shadow descriptors plus
@@ -45,21 +41,10 @@ type tableFork struct {
 	touched []Index      // slots resolved this epoch (the read footprint)
 	writes  []Index      // scratch reused by ForkDescWrites/commits across epochs
 	hazards []Index      // objects that took cache-hazard AD stores this epoch
-	chain   uint32
 	epoch   uint32
 	abort   bool
 	reason  ForkAbortReason
 	created int // objects created from reservations this epoch
-
-	// Stash of the previous epoch, held while the fork speculates ahead.
-	stTouched  []Index
-	stWrites   []Index
-	stVals     []Descriptor // parallel to stWrites: the values to commit
-	stHazards  []Index
-	stCreated  int
-	stAdStores uint64
-	stGrayings uint64
-	stashed    bool
 }
 
 // descChunkShift sizes the shadow chunks: 1024 descriptors each.
@@ -71,8 +56,7 @@ const (
 // descChunk is one lazily allocated piece of a fork's descriptor shadow.
 type descChunk struct {
 	shadow [descChunkSize]Descriptor
-	stamp  [descChunkSize]uint32 // chain stamp: shadow[i] copied from the parent this chain
-	estamp [descChunkSize]uint32 // epoch stamp: slot i is in this epoch's touched list
+	stamp  [descChunkSize]uint32 // epoch shadow[i] was copied from the parent and touched
 }
 
 // shadowOf returns the shadow copy of a slot already on a footprint list.
@@ -106,7 +90,6 @@ func (t *Table) Fork() *Table {
 		mem: t.mem.Fork(),
 		fk: &tableFork{
 			parent: t,
-			chain:  1,
 			epoch:  1,
 		},
 	}
@@ -116,22 +99,21 @@ func (t *Table) Fork() *Table {
 func (t *Table) IsFork() bool { return t.fk != nil }
 
 // ForkReset begins a new speculation epoch against the parent's current
-// state: the shadow empties, the footprints clear, any stash drops, the
-// abort flag drops, and the per-epoch stats counters rewind. O(1) in the
-// table size: a grown parent extends the chunk directory by nil slots,
-// and a stamp wrap scrubs only the allocated chunks.
+// state: the shadow empties, the footprints clear, the abort flag drops,
+// and the per-epoch stats counters rewind. O(1) in the table size: a
+// grown parent extends the chunk directory by nil slots, and a stamp wrap
+// scrubs only the allocated chunks.
 func (t *Table) ForkReset() {
 	fk := t.fk
-	fk.chain++
-	if fk.chain == 0 { // stamp wrap: scrub rather than alias epochs
+	fk.epoch++
+	if fk.epoch == 0 { // stamp wrap: scrub rather than alias epochs
 		for _, c := range fk.chunks {
 			if c != nil {
 				clear(c.stamp[:])
 			}
 		}
-		fk.chain = 1
+		fk.epoch = 1
 	}
-	fk.nextEpoch()
 	if n := (len(fk.parent.descs) + descChunkSize - 1) >> descChunkShift; n > len(fk.chunks) {
 		fk.chunks = append(fk.chunks, make([]*descChunk, n-len(fk.chunks))...)
 	}
@@ -140,54 +122,8 @@ func (t *Table) ForkReset() {
 	fk.abort = false
 	fk.reason = ForkAbortNone
 	fk.created = 0
-	fk.stashed = false
-	fk.stCreated = 0
 	t.adStores, t.grayings = 0, 0
 	t.mem.ForkReset()
-}
-
-// ForkStash freezes the current (clean) epoch — its read footprint, its
-// descriptor diffs by value, its hazards and stats deltas — for a later
-// in-order ForkCommitPending, and starts the continuation epoch in the
-// same shadow. The continuation reads the stashed epoch's values (chain
-// stamps survive) but records a fresh footprint (epoch stamps bump).
-func (t *Table) ForkStash() {
-	fk := t.fk
-	fk.stTouched = append(fk.stTouched[:0], fk.touched...)
-	fk.stWrites = fk.stWrites[:0]
-	fk.stVals = fk.stVals[:0]
-	for _, idx := range fk.touched {
-		if d := fk.shadowOf(idx); *d != fk.parent.descs[idx] {
-			fk.stWrites = append(fk.stWrites, idx)
-			fk.stVals = append(fk.stVals, *d)
-		}
-	}
-	fk.stHazards = append(fk.stHazards[:0], fk.hazards...)
-	fk.stCreated = fk.created
-	fk.stAdStores = t.adStores
-	fk.stGrayings = t.grayings
-	fk.stashed = true
-
-	fk.nextEpoch()
-	fk.touched = fk.touched[:0]
-	fk.hazards = fk.hazards[:0]
-	fk.created = 0
-	t.adStores, t.grayings = 0, 0
-	t.mem.ForkStash()
-}
-
-// nextEpoch advances the epoch stamp, scrubbing the allocated chunks'
-// epoch stamps on wrap.
-func (fk *tableFork) nextEpoch() {
-	fk.epoch++
-	if fk.epoch == 0 {
-		for _, c := range fk.chunks {
-			if c != nil {
-				clear(c.estamp[:])
-			}
-		}
-		fk.epoch = 1
-	}
 }
 
 // ForkAborted reports whether this epoch hit a non-speculable operation
@@ -209,7 +145,7 @@ func (t *Table) ForkAbortReasonIs() ForkAbortReason {
 
 // ForkTouched reports the descriptor slots this fork resolved this epoch —
 // its descriptor read footprint. The slice is owned by the fork and valid
-// until the next ForkReset or ForkStash.
+// until the next ForkReset.
 func (t *Table) ForkTouched() []Index { return t.fk.touched }
 
 // ForkDescWrites reports the descriptor slots whose shadow copy differs
@@ -235,24 +171,6 @@ func (t *Table) ForkPages() (reads, writes []uint32) { return t.mem.ForkFootprin
 // this epoch, for the driver's conflict refinement on shared boundary pages.
 func (t *Table) ForkPageFootprint(p uint32) (read, write mem.PageBits) {
 	return t.mem.ForkPageFootprint(p)
-}
-
-// ForkPendingTouched reports the stashed epoch's descriptor read footprint.
-func (t *Table) ForkPendingTouched() []Index { return t.fk.stTouched }
-
-// ForkPendingDescWrites reports the stashed epoch's descriptor write
-// footprint, precomputed at stash time.
-func (t *Table) ForkPendingDescWrites() []Index { return t.fk.stWrites }
-
-// ForkPendingPages reports the stashed epoch's memory page footprint.
-func (t *Table) ForkPendingPages() (reads, writes []uint32) {
-	return t.mem.ForkPendingFootprint()
-}
-
-// ForkPendingPageFootprint reports the stashed epoch's byte-granular
-// footprint of one memory page.
-func (t *Table) ForkPendingPageFootprint(p uint32) (read, write mem.PageBits) {
-	return t.mem.ForkPendingPageFootprint(p)
 }
 
 // ForkCreated reports how many objects the current epoch created from
@@ -299,29 +217,6 @@ func (t *Table) ForkCommit() []Index {
 	return written
 }
 
-// ForkCommitPending publishes the stashed epoch into the parent from its
-// frozen values, leaving the fork's live (continuation) epoch untouched.
-// Same contract as ForkCommit, including the returned written set.
-func (t *Table) ForkCommitPending() []Index {
-	fk := t.fk
-	written := fk.writes[:0]
-	for j, idx := range fk.stWrites {
-		fk.parent.descs[idx] = fk.stVals[j]
-		written = append(written, idx)
-	}
-	written = append(written, fk.stHazards...)
-	fk.writes = written
-	fk.parent.adStores += fk.stAdStores
-	fk.parent.grayings += fk.stGrayings
-	fk.parent.live += fk.stCreated
-	fk.parent.created += uint64(fk.stCreated)
-	fk.parent.reserved -= fk.stCreated
-	fk.stashed = false
-	fk.stCreated = 0
-	t.mem.ForkCommitPending()
-	return written
-}
-
 // noteCacheHazard records, during speculation, an object whose access slots
 // took an AD store that bumps the cache generation (StoreAD into a process
 // or context). ForkCommit reports these alongside the descriptor diffs.
@@ -333,9 +228,9 @@ func (t *Table) noteCacheHazard(idx Index) {
 }
 
 // slot returns the descriptor at idx, routed through the epoch shadow for
-// forks. The caller has bounds-checked idx against Len. Shadow copies are
-// chain-scoped (a stash-continued epoch keeps its predecessor's values);
-// footprint membership is epoch-scoped.
+// forks. The caller has bounds-checked idx against Len. A slot's first
+// touch of the epoch copies it from the parent and records it in the
+// touched list.
 func (t *Table) slot(idx Index) *Descriptor {
 	if fk := t.fk; fk != nil {
 		c := fk.chunks[idx>>descChunkShift]
@@ -344,17 +239,13 @@ func (t *Table) slot(idx Index) *Descriptor {
 			fk.chunks[idx>>descChunkShift] = c
 		}
 		i := idx & (descChunkSize - 1)
-		if c.stamp[i] != fk.chain {
-			c.stamp[i] = fk.chain
+		if c.stamp[i] != fk.epoch {
+			c.stamp[i] = fk.epoch
 			c.shadow[i] = fk.parent.descs[idx]
-		}
-		if c.estamp[i] != fk.epoch {
-			c.estamp[i] = fk.epoch
 			fk.touched = append(fk.touched, idx)
 		}
 		return &c.shadow[i]
 	}
-	t.muts++
 	return &t.descs[idx]
 }
 

@@ -18,6 +18,24 @@ func TestForkDescriptorChunksLazy(t *testing.T) {
 		t.Fatalf("directory %d slots, touched chunk %p", len(f.fk.chunks), c)
 	}
 
+	// A descriptor and a byte the parent changes after the fork copied
+	// them are re-read from the parent in the next epoch, not served from
+	// the stale shadow.
+	if v, fl := f.ReadDWord(ad, 0); fl != nil || v != 0 {
+		t.Fatalf("fork read %d, %v", v, fl)
+	}
+	if fl := tab.WriteDWord(ad, 0, 77); fl != nil {
+		t.Fatal(fl)
+	}
+	tab.descs[ad.Index].Color = Black
+	f.ForkReset()
+	if d, fl := f.Resolve(ad); fl != nil || d.Color != Black {
+		t.Fatalf("fork resolved a stale descriptor: %+v, %v", d, fl)
+	}
+	if v, fl := f.ReadDWord(ad, 0); fl != nil || v != 77 {
+		t.Fatalf("fork read stale %d after reset, want 77 (%v)", v, fl)
+	}
+
 	var last AD
 	for tab.Len() <= 2*descChunkSize {
 		last = mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 1})
@@ -37,7 +55,7 @@ func TestForkDescriptorChunksLazy(t *testing.T) {
 	}
 }
 
-// TestForkDescriptorStampWrapScrubs forces both stamps to wrap: the scrub
+// TestForkDescriptorStampWrapScrubs forces the stamp to wrap: the scrub
 // must clear the allocated chunks, so a slot touched before the wrap is
 // re-copied from the parent and rejoins the footprint.
 func TestForkDescriptorStampWrapScrubs(t *testing.T) {
@@ -48,19 +66,20 @@ func TestForkDescriptorStampWrapScrubs(t *testing.T) {
 	if _, fl := f.Resolve(ad); fl != nil {
 		t.Fatal(fl)
 	}
-	f.fk.chain, f.fk.epoch = ^uint32(0), ^uint32(0)
+	tab.descs[ad.Index].Color = Black
+	f.fk.epoch = ^uint32(0)
 	f.ForkReset()
-	if f.fk.chain != 1 || f.fk.epoch != 1 {
-		t.Fatalf("chain %d epoch %d after wrap, want 1 1", f.fk.chain, f.fk.epoch)
+	if f.fk.epoch != 1 {
+		t.Fatalf("epoch %d after wrap, want 1", f.fk.epoch)
 	}
 	c := f.fk.chunks[0]
 	for i := range c.stamp {
-		if c.stamp[i] != 0 || c.estamp[i] != 0 {
-			t.Fatalf("slot %d stamps %d/%d survived the wrap", i, c.stamp[i], c.estamp[i])
+		if c.stamp[i] != 0 {
+			t.Fatalf("slot %d stamp %d survived the wrap", i, c.stamp[i])
 		}
 	}
-	if _, fl := f.Resolve(ad); fl != nil {
-		t.Fatal(fl)
+	if d, fl := f.Resolve(ad); fl != nil || d.Color != Black {
+		t.Fatalf("fork resolved a stale descriptor after the wrap: %+v, %v", d, fl)
 	}
 	if got := f.ForkTouched(); len(got) != 1 || got[0] != ad.Index {
 		t.Fatalf("touched = %v, want [%d]", got, ad.Index)

@@ -87,10 +87,7 @@ func (t *Table) ReserveSlots(dst []Index, n, freshCap int) []Index {
 		dst = append(dst, idx)
 		granted++
 	}
-	if granted > 0 {
-		t.reserved += granted
-		t.muts++
-	}
+	t.reserved += granted
 	return dst
 }
 
@@ -102,7 +99,6 @@ func (t *Table) UnreserveSlots(slots []Index) {
 		t.free = append(t.free, slots[i])
 	}
 	t.reserved -= len(slots)
-	t.muts++
 }
 
 // ReservedSlots reports how many descriptor slots are currently held out

@@ -103,12 +103,6 @@ type Table struct {
 	// bumps it; a cached entry whose snapshot differs is dead.
 	xgen uint64
 
-	// muts counts mutations (and conservatively, descriptor accesses that
-	// could mutate) performed outside the epoch-fork engine. The parallel
-	// driver's pipeline snapshots MutGen to detect state changes between
-	// steps; fork commits deliberately do not advance it.
-	muts uint64
-
 	// reserved counts descriptor slots currently held out of circulation
 	// by reservations (see reserve.go), for Len/audit bookkeeping.
 	reserved int
@@ -135,11 +129,11 @@ func NewTable(memSize uint32) *Table {
 func (t *Table) Memory() *mem.Memory { return t.mem }
 
 // Live reports the number of valid objects. A fork adds its own
-// uncommitted reservation-created objects (stashed and current epoch) to
-// the parent's count — forks never destroy.
+// uncommitted reservation-created objects to the parent's count — forks
+// never destroy.
 func (t *Table) Live() int {
 	if fk := t.fk; fk != nil {
-		return fk.parent.live + fk.stCreated + fk.created
+		return fk.parent.live + fk.created
 	}
 	return t.live
 }
@@ -203,15 +197,6 @@ func (t *Table) CacheGen() uint64 {
 // DescriptorAt, the parallel driver committing an epoch's descriptor
 // writes) must call this explicitly.
 func (t *Table) InvalidateCaches() { t.xgen++ }
-
-// MutGen reports a counter that advances on every table or memory
-// mutation performed outside the epoch-fork engine — descriptor accesses
-// through non-fork resolution (conservatively counted as potential
-// mutations, since callers mutate through the returned pointer), object
-// creation/destruction, reservation changes, allocator activity. Epoch
-// commits do not advance it: the parallel driver accounts for its own
-// committed writes separately, and uses MutGen to detect everything else.
-func (t *Table) MutGen() uint64 { return t.muts + t.xgen + t.mem.MutGen() }
 
 // Resolve validates an AD against the table: the entry must be live and
 // the generation must match. It returns the descriptor for inspection.
@@ -328,7 +313,6 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 	}
 	t.live++
 	t.created++
-	t.muts++
 	if l := t.tr; l != nil {
 		l.Emit(trace.EvObjCreate, uint32(idx), uint32(spec.Type), uint64(spec.Level))
 	}

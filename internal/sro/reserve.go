@@ -23,19 +23,18 @@ import (
 const (
 	// ReserveSlotTarget is the slot batch granted per refill;
 	// ReserveSlotLow triggers a top-up. Slot top-ups are append-only —
-	// they extend the reservation's tail without moving the cursor — so
-	// they never invalidate a pipelined continuation speculating against
-	// the old cursor; the batch size only sets how much of each top-up
-	// the free list must cover. ReserveSlotFresh caps the *fresh* slots
+	// they extend the reservation's tail without moving the cursor — and
+	// the batch size only sets how much of each top-up the free list must
+	// cover. ReserveSlotFresh caps the *fresh* slots
 	// minted per refill: fresh slots extend the descriptor table, the
 	// collector's passes scan the table linearly, and an uncapped grant
 	// would tax every GC cycle with slots that reclamation churn feeds
 	// back through the free list anyway. A quantum bounds creates per
 	// processor at roughly quantum/CostCreateObject (~8 at the default 5k
 	// quantum), so the low mark covers one quantum of the tightest
-	// possible create loop; a pipelined continuation that out-allocates
-	// the tail falls back structurally (abort, refill, fresh run) without
-	// losing determinism. The constants are deliberately small: the hoard
+	// possible create loop; an epoch that out-allocates the tail falls
+	// back structurally (abort, refill, serial replay) without losing
+	// determinism. The constants are deliberately small: the hoard
 	// inflates the live descriptor table, and E6's stall separation is a
 	// direct measure of that tax.
 	ReserveSlotTarget = 12
@@ -62,20 +61,11 @@ func (m *Manager) reservationAlive(r *obj.Reservation) bool {
 }
 
 // RefillReservation reconciles and tops up one CPU's reservation, binding
-// (or rebinding) it to want when valid. It reports whether the refill
-// *invalidated* the reservation's existing state — moved the cursor,
-// rebound, swapped the arena, compacted the slot slice, or rewrote SRO
-// bytes — which is what forces the driver to drop a pipelined
-// continuation speculating against a copy of the old value. An
-// append-only slot top-up is NOT invalidating: the consumed prefix and
-// the Next cursor are untouched, so a continuation that never saw the new
-// tail is still consuming exactly the slots the serial corner would. A
-// claim-exhausted refill that only *reads* (charge attempts that fault)
-// also reports false, so steady-state exhaustion doesn't perturb the
-// pipeline. Must be called on the real (non-fork) system only.
-func (m *Manager) RefillReservation(r *obj.Reservation, want obj.AD) bool {
-	changed := false
-
+// (or rebinding) it to want when valid. Its choices — when to reconcile,
+// compact, and top up — fix which slots and bytes every later create
+// consumes, so they are part of the canonical allocation schedule. Must
+// be called on the real (non-fork) system only.
+func (m *Manager) RefillReservation(r *obj.Reservation, want obj.AD) {
 	// A dead or superseded binding releases first: remainder bytes back
 	// to memory (and to the SRO's claim if it still exists), unconsumed
 	// slots back to the free list.
@@ -84,7 +74,6 @@ func (m *Manager) RefillReservation(r *obj.Reservation, want obj.AD) bool {
 		superseded := want.Valid() && want.Index != r.SRO
 		if stale || superseded {
 			m.ReleaseReservation(r)
-			changed = true
 		}
 	}
 
@@ -93,33 +82,29 @@ func (m *Manager) RefillReservation(r *obj.Reservation, want obj.AD) bool {
 	// the structural path produces the canonical fault.
 	if r.SRO == obj.NilIndex {
 		if !want.Valid() {
-			return changed
+			return
 		}
 		d, f := m.Table.RequireType(want, obj.TypeSRO)
 		if f != nil || !want.Rights.Has(RightAllocate) {
-			return changed
+			return
 		}
 		level, f := m.Table.ReadWord(want, offLevel)
 		if f != nil {
-			return changed
+			return
 		}
 		r.SRO = want.Index
 		r.Gen = d.Gen
 		r.Level = obj.Level(level)
-		changed = true
 	}
 
 	ad := reservationAD(r)
 
 	// Reconcile the SRO's cumulative allocation counter with the creates
-	// consumed from this reservation — but only when an (invalidating)
-	// arena top-up is due anyway. A steady-state refill that merely
-	// reconciled would rewrite SRO bytes and invalidate the pipelined
-	// continuation after every allocating epoch; letting Consumed ride
-	// until the next arena turnover keeps refills pipeline-transparent
-	// between batches (ReleaseReservation also reconciles, so nothing is
-	// lost). The lag is deterministic: refills run identically in every
-	// corner.
+	// consumed from this reservation — but only when an arena top-up is
+	// due anyway, so a steady-state refill leaves the SRO's bytes alone.
+	// Consumed rides until the next arena turnover (ReleaseReservation
+	// also reconciles, so nothing is lost). The lag is deterministic:
+	// refills run identically in every corner.
 	needArena := r.ArenaLeft() < ReserveArenaLow
 	if needArena && r.Consumed > 0 {
 		allocs, f := m.Table.ReadDWord(ad, offAllocs)
@@ -127,23 +112,20 @@ func (m *Manager) RefillReservation(r *obj.Reservation, want obj.AD) bool {
 			_ = m.Table.WriteDWord(ad, offAllocs, allocs+r.Consumed)
 		}
 		r.Consumed = 0
-		changed = true
 	}
 
 	// Compact the consumed slot prefix away — this moves the cursor, so
-	// it only happens when the arena turnover invalidates the continuation
-	// anyway, or when the append-only tail has grown past bound (objects
-	// with empty parts consume slots without ever depleting the arena).
+	// it only happens at an arena turnover, or when the append-only tail
+	// has grown past bound (objects with empty parts consume slots
+	// without ever depleting the arena).
 	if r.Next > 0 && (needArena || len(r.Slots) >= 4*ReserveSlotTarget) {
 		n := copy(r.Slots, r.Slots[r.Next:])
 		r.Slots = r.Slots[:n]
 		r.Next = 0
-		changed = true
 	}
 
 	// Slot top-up: append to the tail up to target. Slots carry no
-	// storage claim, existing entries and the Next cursor are untouched,
-	// so this is pipeline-transparent — not a change.
+	// storage claim; existing entries and the Next cursor are untouched.
 	if r.SlotsLeft() < ReserveSlotLow {
 		r.Slots = m.Table.ReserveSlots(r.Slots, ReserveSlotTarget-r.SlotsLeft(), ReserveSlotFresh)
 	}
@@ -156,7 +138,6 @@ func (m *Manager) RefillReservation(r *obj.Reservation, want obj.AD) bool {
 		if rem := r.ArenaLeft(); rem > 0 {
 			_ = m.Table.Memory().Free(mem.Extent{Base: r.Arena.Base + mem.Addr(r.ArenaOff), Len: rem})
 			m.credit(r.SRO, rem)
-			changed = true
 		}
 		r.Arena, r.ArenaOff = mem.Extent{}, 0
 		for req := uint32(ReserveArenaBytes); req >= ReserveArenaLow; req >>= 1 {
@@ -169,11 +150,9 @@ func (m *Manager) RefillReservation(r *obj.Reservation, want obj.AD) bool {
 				continue // fragmentation; try smaller
 			}
 			r.Arena = ext
-			changed = true
 			break
 		}
 	}
-	return changed
 }
 
 // ReleaseReservation returns everything unconsumed — arena remainder to
