@@ -9,14 +9,10 @@
 //	imaxbench -run E3              run one experiment
 //	imaxbench -list                list experiment ids
 //	imaxbench -md                  emit Markdown (for EXPERIMENTS.md)
-//	imaxbench -bench-pr2 OUT.json  host-parallel backend smoke benchmark
-//	imaxbench -bench-pr3 OUT.json  execution-cache benchmark (backend × cache)
-//	imaxbench -bench-pr5 OUT.json  scoped-invalidation + affinity benchmark
-//	imaxbench -bench-pr8 OUT.json  trace-compiler benchmark (six corners,
-//	                               ≥3x and 0-alloc gates)
-//	imaxbench -bench-pr10 OUT.json in-fork structural-commit benchmark (six
-//	                               corners + NoStructuralCommit arm, ≥0.90
-//	                               commit-rate gate)
+//	imaxbench -bench OUT.json      benchmark matrix: five workloads × six
+//	                               {serial, parallel} × {nocache, cache,
+//	                               cache+trace} corners + NoStructuralCommit
+//	                               arm; exits non-zero on any gate
 //	imaxbench -bench-scale OUT.json [-scale-sessions N] [-scale-det]
 //	                               open-loop scale scenarios (SLO percentiles)
 //	imaxbench -bench-shard OUT.json [-shard-sessions N] [-shard-det]
@@ -54,11 +50,7 @@ func run() int {
 	runID := flag.String("run", "", "run a single experiment id (e.g. E3)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	md := flag.Bool("md", false, "emit Markdown instead of plain text")
-	benchPR2 := flag.String("bench-pr2", "", "run the host-parallel smoke benchmark and write the JSON report here")
-	benchPR3 := flag.String("bench-pr3", "", "run the execution-cache benchmark and write the JSON report here")
-	benchPR5 := flag.String("bench-pr5", "", "run the scoped-invalidation/affinity benchmark and write the JSON report here")
-	benchPR8 := flag.String("bench-pr8", "", "run the trace-compiler six-corner benchmark and write the JSON report here")
-	benchPR10 := flag.String("bench-pr10", "", "run the in-fork structural-commit benchmark and write the JSON report here")
+	bench := flag.String("bench", "", "run the six-corner benchmark matrix, enforce its gates, and write the JSON report here")
 	requireCores := flag.Int("require-cores", 0, "hard-fail when the host has at least N cores but the parallel backend fails to beat serial (0 = warn only)")
 	perfTrack := flag.String("perf-track", "", "directory of freshly generated BENCH_*.json to judge against committed baselines")
 	perfBaseline := flag.String("perf-baseline", ".", "directory of committed BENCH_*.json baselines for -perf-track")
@@ -103,190 +95,51 @@ func run() int {
 		}()
 	}
 
-	if *benchPR2 != "" {
-		rep, err := experiments.BenchPR2(*benchPR2, 3)
-		if err != nil {
+	if *bench != "" {
+		// A failed gate still returns the report: print it, then fail.
+		rep, err := experiments.Bench(*bench, 3)
+		if rep == nil {
 			fmt.Fprintln(os.Stderr, "imaxbench:", err)
 			return 1
 		}
-		fmt.Printf("bench-pr2: host %d cpus, GOMAXPROCS %d (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-12s %d cpus, %2d workers: serial %8.2fms, parallel %8.2fms, speedup %.2fx"+
-				" (epochs %d, commits %d, conflicts %d, aborts %d)\n",
-				r.Workload, r.Processors, r.Workers,
-				float64(r.SerialNs)/1e6, float64(r.ParallelNs)/1e6, r.Speedup,
-				r.ParEpochs, r.ParCommits, r.ParConflicts, r.ParAborts)
-			if !r.ResultsEqual {
-				fmt.Fprintf(os.Stderr, "imaxbench: %s: backend results diverged\n", r.Workload)
-				return 1
-			}
-			if r.Speedup > best {
-				best = r.Speedup
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr2", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR2)
-		return 0
-	}
-
-	if *benchPR3 != "" {
-		rep, err := experiments.BenchPR3(*benchPR3, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imaxbench:", err)
-			return 1
-		}
-		fmt.Printf("bench-pr3: host %d cpus, GOMAXPROCS %d (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-12s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   uncached %8.2fms, cached %8.2fms: cache speedup %.2fx\n",
-				float64(r.SerialUncachedNs)/1e6, float64(r.SerialCachedNs)/1e6, r.CacheSpeedupSerial)
-			fmt.Printf("    parallel uncached %8.2fms, cached %8.2fms: cache speedup %.2fx, vs serial cached %.2fx\n",
-				float64(r.ParallelUncachedNs)/1e6, float64(r.ParallelCachedNs)/1e6,
-				r.CacheSpeedupParallel, r.ParallelSpeedup)
-			fmt.Printf("    epochs %d, commits %d, conflicts %d, aborts %d, cooldowns %d\n",
-				r.ParEpochs, r.ParCommits, r.ParConflicts, r.ParAborts, r.ParCooldowns)
-			if !r.ResultsEqual {
-				fmt.Fprintf(os.Stderr, "imaxbench: %s: corner results diverged\n", r.Workload)
-				return 1
-			}
-			if r.ParallelSpeedup > best {
-				best = r.ParallelSpeedup
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr3", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR3)
-		return 0
-	}
-
-	if *benchPR5 != "" {
-		rep, err := experiments.BenchPR5(*benchPR5, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imaxbench:", err)
-			return 1
-		}
-		fmt.Printf("bench-pr5: host %d cpus, GOMAXPROCS %d, degenerate=%v (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.Degenerate, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-22s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   uncached %8.2fms, cached %8.2fms: cache speedup %.2fx\n",
-				float64(r.SerialUncachedNs)/1e6, float64(r.SerialCachedNs)/1e6, r.CacheSpeedupSerial)
-			fmt.Printf("    parallel uncached %8.2fms, cached %8.2fms: cache speedup %.2fx, vs serial cached %.2fx\n",
-				float64(r.ParallelUncachedNs)/1e6, float64(r.ParallelCachedNs)/1e6,
-				r.CacheSpeedupParallel, r.ParallelSpeedup)
-			fmt.Printf("    epochs %d, commits %d, conflicts %d, aborts %d, cooldowns %d\n",
-				r.ParEpochs, r.ParCommits, r.ParConflicts, r.ParAborts, r.ParCooldowns)
-			fmt.Printf("    scoped invalidations %d, cache survivals %d, regroups %d\n",
-				r.ScopedInvalidations, r.CacheSurvivals, r.Regroups)
-			if !r.ResultsEqual {
-				fmt.Fprintf(os.Stderr, "imaxbench: %s: corner results diverged\n", r.Workload)
-				return 1
-			}
-			// The tentpole claim: on compute-shaped work the execution
-			// cache must pay under the parallel backend too. This is a
-			// within-backend ratio, so it holds even on a degenerate
-			// (GOMAXPROCS=1) host.
-			if r.Workload == "e3-compute" && r.ParallelCachedNs >= r.ParallelUncachedNs {
-				fmt.Fprintf(os.Stderr,
-					"imaxbench: %s: parallel cached (%dns) not faster than parallel uncached (%dns)\n",
-					r.Workload, r.ParallelCachedNs, r.ParallelUncachedNs)
-				return 1
-			}
-			if r.ParallelSpeedup > best {
-				best = r.ParallelSpeedup
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr5", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR5)
-		return 0
-	}
-
-	if *benchPR8 != "" {
-		rep, err := experiments.BenchPR8(*benchPR8, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imaxbench:", err)
-			return 1
-		}
-		fmt.Printf("bench-pr8: host %d cpus, GOMAXPROCS %d, degenerate=%v (%s)\n",
+		fmt.Printf("bench: host %d cpus, GOMAXPROCS %d, degenerate=%v (%s)\n",
 			rep.HostCPUs, rep.GOMAXPROCS, rep.Degenerate, rep.GoVersion)
 		warnSingleCPU(rep.GOMAXPROCS)
 		fmt.Printf("  alloc probe: %d steady-state instructions, %d mallocs (%.6f allocs/op)\n",
 			rep.TraceProbeInstrs, rep.TraceSteadyMallocs, rep.TraceAllocsPerOp)
-		best := -1.0
+		parOverSerial := -1.0
 		for _, r := range rep.Runs {
-			fmt.Printf("  %-22s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   nocache %8.2fms, cache %8.2fms, trace %8.2fms: trace speedup %.2fx (total %.2fx)\n",
-				float64(r.SerialNocacheNs)/1e6, float64(r.SerialCacheNs)/1e6, float64(r.SerialTraceNs)/1e6,
-				r.TraceSpeedupSerial, r.TotalSpeedupSerial)
-			fmt.Printf("    parallel nocache %8.2fms, cache %8.2fms, trace %8.2fms: trace speedup %.2fx\n",
-				float64(r.ParallelNocacheNs)/1e6, float64(r.ParallelCacheNs)/1e6, float64(r.ParallelTraceNs)/1e6,
-				r.TraceSpeedupParallel)
-			fmt.Printf("    traces: %d compiled (%d fused ops), %d entries / %d instructions, %d deopts, %d exits\n",
-				r.TraceCompiled, r.TraceFusedOps, r.TraceEntries, r.TraceInstrs, r.TraceDeopts, r.TraceExits)
-			if !r.ResultsEqual {
-				fmt.Fprintf(os.Stderr, "imaxbench: %s: corner results diverged\n", r.Workload)
-				return 1
+			fmt.Printf("  %-22s %d cpus, %2d workers, %d virtual cycles:\n",
+				r.Workload, r.Processors, r.Workers, r.VirtualCycles)
+			for _, c := range r.Corners {
+				fmt.Printf("    %-17s %8.2fms\n", c.Corner, float64(c.HostNs)/1e6)
 			}
-			if r.ParallelTraceNs > 0 {
-				if sp := float64(r.SerialTraceNs) / float64(r.ParallelTraceNs); sp > best {
-					best = sp
-				}
+			fmt.Printf("    cache %.2fx serial / %.2fx parallel, trace %.2fx serial / %.2fx parallel, "+
+				"parallel over serial %.2fx cache / %.2fx trace\n",
+				r.CacheSpeedupSerial, r.CacheSpeedupParallel, r.TraceSpeedupSerial, r.TraceSpeedupParallel,
+				r.ParallelOverSerialCache, r.ParallelOverSerialTrace)
+			fmt.Printf("    traces: %d compiled (%d fused ops), %d entries / %d instructions, %d deopts\n",
+				r.TraceCompiled, r.TraceFusedOps, r.TraceEntries, r.TraceInstrs, r.TraceDeopts)
+			fmt.Printf("    epochs %d, commits %d (rate %.3f), conflicts %d, aborts %d structural / %d reservation / %d other, "+
+				"cooldowns %d, regroups %d, in-fork creates %d\n",
+				r.ParEpochs, r.ParCommits, r.StructuralCommitRate, r.ParConflicts,
+				r.AbortsStructural, r.AbortsReservation, r.AbortsOther, r.ParCooldowns, r.Regroups, r.ForkCreates)
+			if r.AllocVirtualThroughput > 0 {
+				fmt.Printf("    alloc throughput: %.0f creates per virtual megacycle; structural speedup %.2fx (nostruct arm over parallel trace)\n",
+					r.AllocVirtualThroughput, r.StructuralSpeedup)
+			}
+			if r.Workload == "e3-compute" {
+				parOverSerial = min(r.ParallelOverSerialCache, r.ParallelOverSerialTrace)
 			}
 		}
-		if rc := checkRequireCores(*requireCores, "bench-pr8", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR8)
-		return 0
-	}
-
-	if *benchPR10 != "" {
-		rep, err := experiments.BenchPR10(*benchPR10, 3)
+		fmt.Println("report:", *bench)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "imaxbench:", err)
 			return 1
 		}
-		fmt.Printf("bench-pr10: host %d cpus, GOMAXPROCS %d, degenerate=%v (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.Degenerate, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-12s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   nocache %8.2fms, cache %8.2fms, trace %8.2fms\n",
-				float64(r.SerialNocacheNs)/1e6, float64(r.SerialCacheNs)/1e6, float64(r.SerialTraceNs)/1e6)
-			fmt.Printf("    parallel nocache %8.2fms, cache %8.2fms, trace %8.2fms; nostruct %8.2fms (%.2fx)\n",
-				float64(r.ParallelNocacheNs)/1e6, float64(r.ParallelCacheNs)/1e6, float64(r.ParallelTraceNs)/1e6,
-				float64(r.ParallelNoStructNs)/1e6, r.StructuralSpeedup)
-			fmt.Printf("    epochs %d, commits %d (rate %.3f), in-fork creates %d; aborts %d structural / %d reservation / %d other\n",
-				r.ParEpochs, r.ParCommits, r.StructuralCommitRate, r.ForkCreates,
-				r.AbortsStructural, r.AbortsReservation, r.AbortsOther)
-			if r.AllocVirtualThroughput > 0 {
-				fmt.Printf("    alloc throughput: %.0f creates per virtual megacycle\n", r.AllocVirtualThroughput)
-			}
-			if r.ParallelTraceNs > 0 {
-				if sp := float64(r.SerialTraceNs) / float64(r.ParallelTraceNs); sp > best {
-					best = sp
-				}
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr10", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR10)
-		return 0
+		// The parallel backend must beat serial on the disjoint compute
+		// shape at both the cache and the cache+trace corners.
+		return checkRequireCores(*requireCores, "bench", parOverSerial)
 	}
 
 	if *perfTrack != "" {
@@ -467,12 +320,12 @@ func warnSingleCPU(gomaxprocs int) {
 // n host cores must actually deliver host parallelism. On a host with
 // fewer than n cores the requirement is unenforceable — warn and pass,
 // so local runs on small machines stay usable — but when the cores are
-// there, a GOMAXPROCS cap below n or a best parallel speedup that never
-// clears 1.0 is a hard failure instead of the buried warnSingleCPU
-// line. bestSpeedup < 0 means the benchmark has no serial-vs-parallel
-// arm; only the provisioning half is checked then. Returns a non-zero
-// exit code on failure.
-func checkRequireCores(n int, label string, bestSpeedup float64) int {
+// there, a GOMAXPROCS cap below n or a parallel-over-serial speedup that
+// does not clear 1.0 is a hard failure instead of the buried
+// warnSingleCPU line. speedup < 0 means the benchmark has no
+// serial-vs-parallel arm; only the provisioning half is checked then.
+// Returns a non-zero exit code on failure.
+func checkRequireCores(n int, label string, speedup float64) int {
 	if n <= 0 {
 		return 0
 	}
@@ -488,11 +341,11 @@ func checkRequireCores(n int, label string, bestSpeedup float64) int {
 			label, runtime.NumCPU(), runtime.GOMAXPROCS(0), n)
 		return 1
 	}
-	if bestSpeedup >= 0 && bestSpeedup <= 1 {
+	if speedup >= 0 && speedup <= 1 {
 		fmt.Fprintf(os.Stderr,
-			"imaxbench: %s: host delivers %d cores but best parallel speedup is %.2fx — "+
-				"the parallel backend never beat serial (-require-cores %d)\n",
-			label, runtime.GOMAXPROCS(0), bestSpeedup, n)
+			"imaxbench: %s: host delivers %d cores but parallel speedup is %.2fx — "+
+				"the parallel backend did not beat serial (-require-cores %d)\n",
+			label, runtime.GOMAXPROCS(0), speedup, n)
 		return 1
 	}
 	return 0

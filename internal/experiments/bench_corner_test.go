@@ -2,30 +2,30 @@ package experiments
 
 import "testing"
 
-// The bench-pr8 headline corners as Go benchmarks, so the workload-level
-// ratios can be profiled with the standard tooling (-cpuprofile) instead
-// of re-deriving them from the imaxbench artifact.
+// The matrix's headline trace corners as Go benchmarks, so the
+// workload-level ratios can be profiled with the standard tooling
+// (-cpuprofile) instead of re-deriving them from BENCH_matrix.json. Each
+// runs its benchWorkloads row at the row's own sizes.
 
-func benchRegLoopCorner(b *testing.B, nocache, notrace bool) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := benchRegLoop(4, 8, 20_000, false, nocache, notrace); err != nil {
-			b.Fatal(err)
+func benchAtCorner(b *testing.B, workload, corner string) {
+	for _, w := range benchWorkloads {
+		for _, c := range benchCorners {
+			if w.name != workload || c.name != corner {
+				continue
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.run(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return
 		}
 	}
+	b.Fatalf("no workload %s at corner %s", workload, corner)
 }
 
-func BenchmarkRegLoopSerialCache(b *testing.B) { benchRegLoopCorner(b, false, true) }
-func BenchmarkRegLoopSerialTrace(b *testing.B) { benchRegLoopCorner(b, false, false) }
-
-func benchComputeCorner(b *testing.B, nocache, notrace bool) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := benchCompute(6, 24, 50_000, false, nocache, notrace); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkComputeSerialCache(b *testing.B) { benchComputeCorner(b, false, true) }
-func BenchmarkComputeSerialTrace(b *testing.B) { benchComputeCorner(b, false, false) }
+func BenchmarkRegLoopSerialCache(b *testing.B) { benchAtCorner(b, "reg-loop", "serial_cache") }
+func BenchmarkRegLoopSerialTrace(b *testing.B) { benchAtCorner(b, "reg-loop", "serial_trace") }
+func BenchmarkComputeSerialCache(b *testing.B) { benchAtCorner(b, "e3-compute", "serial_cache") }
+func BenchmarkComputeSerialTrace(b *testing.B) { benchAtCorner(b, "e3-compute", "serial_trace") }

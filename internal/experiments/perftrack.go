@@ -4,23 +4,24 @@ package experiments
 // -perf-track`: it reads the committed BENCH_*.json artifacts (the
 // baselines), reads freshly generated artifacts from another directory,
 // and hard-fails when any tracked headline metric regresses more than
-// the tolerance against the best committed value.
+// the tolerance against its committed value.
 //
 // Tracked metrics are chosen to be comparable across hosts and commits:
 //
-//   - within-backend wall-clock ratios (cache_speedup_serial,
-//     trace_speedup_serial) — both sides of each ratio come from the
-//     same process on the same host, so the ratio transfers;
+//   - within-backend wall-clock ratios from the bench matrix
+//     (cache_speedup_serial, trace_speedup_serial) — both sides of each
+//     ratio come from the same process on the same host, so the ratio
+//     transfers;
+//   - deterministic counters from the matrix (structural_commit_rate,
+//     alloc_throughput_virtual) — functions of the workload alone;
 //   - virtual-time throughputs (scale virtual_rps, shard speedup_4x1)
 //     — deterministic functions of the scenario config and seed. Their
 //     keys carry the session population, so a down-scaled smoke run
 //     never gets compared against a full-scale committed artifact: the
 //     keys simply don't meet.
 //
-// When several committed artifacts track the same key (pr3, pr5 and
-// pr8 all measure cache_speedup_serial on the same workloads), the
-// baseline is the best of them — the trajectory must never fall more
-// than the tolerance below the best the repo has ever committed.
+// Each key comes from exactly one artifact: BENCH_matrix.json,
+// BENCH_scale.json or BENCH_shard.json.
 
 import (
 	"encoding/json"
@@ -31,7 +32,7 @@ import (
 )
 
 // PerfDefaultTolerance is the fraction a tracked metric may fall below
-// its best committed baseline before the tracker fails.
+// its committed baseline before the tracker fails.
 const PerfDefaultTolerance = 0.10
 
 // PerfMetric is one tracked headline metric after comparison.
@@ -57,16 +58,11 @@ type PerfTrackReport struct {
 }
 
 // perfExtract pulls every tracked metric out of the BENCH_*.json files
-// in dir, keeping the best value per key. Missing files are fine — a
-// repo mid-growth has only the artifacts its PRs have committed —
-// but a file that exists and does not parse is an error.
+// in dir. Missing files are fine — a fresh directory holds only the
+// artifacts its run generated — but a file that exists and does not
+// parse is an error.
 func perfExtract(dir string) (map[string]float64, error) {
-	best := make(map[string]float64)
-	note := func(key string, v float64) {
-		if cur, ok := best[key]; !ok || v > cur {
-			best[key] = v
-		}
-	}
+	metrics := make(map[string]float64)
 	load := func(name string, into any) (bool, error) {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if os.IsNotExist(err) {
@@ -81,74 +77,25 @@ func perfExtract(dir string) (map[string]float64, error) {
 		return true, nil
 	}
 
-	// The four-corner artifacts: cache ratio per workload.
-	for _, name := range []string{"BENCH_pr3.json", "BENCH_pr5.json"} {
-		var rep struct {
-			Runs []struct {
-				Workload           string  `json:"workload"`
-				CacheSpeedupSerial float64 `json:"cache_speedup_serial"`
-			} `json:"runs"`
-		}
-		ok, err := load(name, &rep)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		for _, r := range rep.Runs {
-			note("cache_speedup_serial/"+r.Workload, r.CacheSpeedupSerial)
-		}
-	}
-
-	// The six-corner artifact: the trace ratio, and its own reading of
-	// the cache ratio (serial nocache over serial cache).
+	// The bench matrix: interpreter ratios on the rows that do not
+	// allocate (the allocating row times the commit path, and its ratios
+	// were never tracked), the deterministic commit rate on every row,
+	// and the allocating row's virtual throughput.
 	{
-		var rep struct {
-			Runs []struct {
-				Workload           string  `json:"workload"`
-				SerialNocacheNs    int64   `json:"serial_nocache_ns"`
-				SerialCacheNs      int64   `json:"serial_cache_ns"`
-				TraceSpeedupSerial float64 `json:"trace_speedup_serial"`
-			} `json:"runs"`
-		}
-		ok, err := load("BENCH_pr8.json", &rep)
+		var rep BenchReport
+		ok, err := load("BENCH_matrix.json", &rep)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			for _, r := range rep.Runs {
-				note("trace_speedup_serial/"+r.Workload, r.TraceSpeedupSerial)
-				if r.SerialCacheNs > 0 {
-					note("cache_speedup_serial/"+r.Workload,
-						float64(r.SerialNocacheNs)/float64(r.SerialCacheNs))
+				if r.Creates == 0 {
+					metrics["cache_speedup_serial/"+r.Workload] = r.CacheSpeedupSerial
+					metrics["trace_speedup_serial/"+r.Workload] = r.TraceSpeedupSerial
 				}
-			}
-		}
-	}
-
-	// The structural-commit artifact: deterministic counters from the
-	// parallel trace corner — structural commit rate per workload, and
-	// the virtual allocation throughput of e2-alloc. Both are
-	// host-independent, so a regression is a real scheduling or
-	// reservation change, not measurement noise.
-	{
-		var rep struct {
-			Runs []struct {
-				Workload               string  `json:"workload"`
-				StructuralCommitRate   float64 `json:"structural_commit_rate"`
-				AllocVirtualThroughput float64 `json:"alloc_throughput_virtual"`
-			} `json:"runs"`
-		}
-		ok, err := load("BENCH_pr10.json", &rep)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			for _, r := range rep.Runs {
-				note("structural_commit_rate/"+r.Workload, r.StructuralCommitRate)
+				metrics["structural_commit_rate/"+r.Workload] = r.StructuralCommitRate
 				if r.AllocVirtualThroughput > 0 {
-					note("alloc_throughput_virtual/"+r.Workload, r.AllocVirtualThroughput)
+					metrics["alloc_throughput_virtual/"+r.Workload] = r.AllocVirtualThroughput
 				}
 			}
 		}
@@ -173,7 +120,7 @@ func perfExtract(dir string) (map[string]float64, error) {
 		if ok {
 			for _, r := range rep.Runs {
 				s := r.Scenario
-				note(fmt.Sprintf("virtual_rps/%s@%d", s.Name, s.Sessions), s.VirtualRPS)
+				metrics[fmt.Sprintf("virtual_rps/%s@%d", s.Name, s.Sessions)] = s.VirtualRPS
 			}
 		}
 	}
@@ -190,10 +137,10 @@ func perfExtract(dir string) (map[string]float64, error) {
 			return nil, err
 		}
 		if ok {
-			note(fmt.Sprintf("speedup_4x1/shard@%d", rep.Sessions), rep.Speedup4x1)
+			metrics[fmt.Sprintf("speedup_4x1/shard@%d", rep.Sessions)] = rep.Speedup4x1
 		}
 	}
-	return best, nil
+	return metrics, nil
 }
 
 // PerfTrack compares the fresh artifacts in freshDir against the

@@ -1,20 +1,14 @@
 package experiments
 
 // report.go holds the boilerplate every bench runner shares: the host
-// header that leads each JSON artifact, the report writer, and the
-// backend counters a workload run hands back. Benchmarks differ in what
-// they measure; they must not differ in how honestly they describe the
-// host that measured it.
+// header that leads each JSON artifact and the report writer. Benchmarks
+// differ in what they measure; they must not differ in how honestly they
+// describe the host that measured it.
 
 import (
 	"encoding/json"
 	"os"
 	"runtime"
-	"time"
-
-	"repro/internal/gdp"
-	"repro/internal/obj"
-	"repro/internal/vtime"
 )
 
 // HostInfo leads every bench artifact. Degenerate is always present
@@ -47,28 +41,4 @@ func writeReport(path string, rep any) error {
 	}
 	out = append(out, '\n')
 	return os.WriteFile(path, out, 0o644)
-}
-
-// benchStats carries the backend counters a workload run produces — the
-// parallel backend's epoch accounting and the trace compiler's profile
-// counters, both read once after the run completes — plus RunNs, the
-// host wall-clock of the run itself.
-type benchStats struct {
-	Par   gdp.ParStats
-	Trace gdp.TraceStats
-	RunNs int64
-}
-
-func statsOf(sys *gdp.System) benchStats {
-	return benchStats{Par: sys.ParStats(), Trace: sys.TraceStats()}
-}
-
-// timedRun drives sys to idle and reports the host nanoseconds of the run
-// alone. System construction — dominated by zeroing the memory arena — is
-// a constant identical across corners; timing it alongside the run would
-// dilute every wall-clock ratio toward 1 by the same additive term.
-func timedRun(sys *gdp.System) (vtime.Cycles, int64, *obj.Fault) {
-	start := time.Now()
-	cy, f := sys.Run(0)
-	return cy, time.Since(start).Nanoseconds(), f
 }
