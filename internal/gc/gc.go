@@ -274,8 +274,8 @@ func (c *Collector) disposeWhite(idx obj.Index) (vtime.Cycles, bool, *obj.Fault)
 				// wakes through the normal machinery; the
 				// caller of Step cannot requeue processes, so
 				// the wake is handed back via pendingWakes.
-				if wake != nil {
-					c.pendingWakes = append(c.pendingWakes, *wake)
+				if wake.Woke() {
+					c.pendingWakes = append(c.pendingWakes, wake)
 				}
 				return vtime.CostGCSweepStep + vtime.CostSend, false, nil
 			}

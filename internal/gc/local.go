@@ -107,8 +107,8 @@ func (c *Collector) CollectLocal(sroIdx obj.Index) (vtime.Cycles, int, *obj.Faul
 				if f == nil && !blocked {
 					d.Finalized = true
 					c.stats.Filtered++
-					if wake != nil {
-						c.pendingWakes = append(c.pendingWakes, *wake)
+					if wake.Woke() {
+						c.pendingWakes = append(c.pendingWakes, wake)
 					}
 					spent += vtime.CostSend
 					reclaimed++

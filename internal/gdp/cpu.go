@@ -66,15 +66,16 @@ func (c *CPU) CurrentSlot(s *System) (obj.AD, *obj.Fault) {
 // bind attaches a ready process to the processor: the implicit hardware
 // dispatch of §5 ("ready processes are dispatched on processors
 // automatically").
-func (c *CPU) bind(s *System, p obj.AD) *obj.Fault {
+func (c *CPU) bind(s *System, h process.Handle) *obj.Fault {
 	c.Clock.Charge(vtime.CostDispatch)
-	if f := s.Procs.SetState(p, process.StateRunning); f != nil {
+	if f := h.SetState(process.StateRunning); f != nil {
 		return f
 	}
-	ts, f := s.Procs.TimeSlice(p)
+	ts, f := h.TimeSlice()
 	if f != nil {
 		return f
 	}
+	p := h.AD()
 	c.proc = p
 	c.sliceLeft = vtime.Cycles(ts)
 	c.Dispatches++
@@ -106,21 +107,22 @@ func (c *CPU) tryDispatch(s *System) (bool, *obj.Fault) {
 	if blocked { // empty: stay idle
 		return false, nil
 	}
-	if _, f := s.Table.RequireType(msg, obj.TypeProcess); f != nil {
+	h, f := s.Procs.Open(msg)
+	if f != nil {
 		// A non-process at the dispatch port is system damage; drop
 		// it rather than wedge the processor.
 		return false, f
 	}
 	// A process stopped while queued is skipped; the process manager
 	// requeues it on start (§6.1).
-	st, f := s.Procs.StateOf(msg)
+	st, f := h.State()
 	if f != nil {
 		return false, f
 	}
 	if st != process.StateReady {
 		return false, nil
 	}
-	if f := c.bind(s, msg); f != nil {
+	if f := c.bind(s, h); f != nil {
 		return false, f
 	}
 	return true, nil

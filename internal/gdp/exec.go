@@ -370,24 +370,8 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 		return 0, obj.Faultf(obj.FaultOddity, proc, "running process has no context")
 	}
 
-	// Apply any pending resume action (message carried to a woken
-	// receiver).
-	action, f := s.Procs.Resume(ctx)
-	if f != nil {
+	if f := s.resume(proc, ctx); f != nil {
 		return 0, f
-	}
-	if action&0xFF == process.ResumeRecv {
-		dst := uint8(action >> 8)
-		carry, f := s.Procs.Link(proc, process.SlotCarry)
-		if f != nil {
-			return 0, f
-		}
-		if f := s.Procs.SetAReg(ctx, dst, carry); f != nil {
-			return 0, f
-		}
-		if f := s.Procs.SetLink(proc, process.SlotCarry, obj.NilAD); f != nil {
-			return 0, f
-		}
 	}
 
 	dom, f := s.Table.LoadAD(ctx, process.CtxSlotDomain)
@@ -418,6 +402,32 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 
 	spent, f := s.execInstr(cpu, proc, ctx, in)
 	return s.execFinish(cpu, proc, ip, in, spent, f), f
+}
+
+// resume applies any pending resume action before the next fetch: a
+// receiver woken with a message finds it in the carry slot and moves it
+// into the destination access register named when it blocked. Both
+// interpreter paths run this one implementation — the slow path after
+// re-deriving the context, the fast path from its cached binding — so a
+// resume that faults (a bad register, a message destroyed while it rode
+// in the carry slot) faults identically with or without the cache.
+func (s *System) resume(proc, ctx obj.AD) *obj.Fault {
+	action, f := s.Procs.Resume(ctx)
+	if f != nil || action&0xFF != process.ResumeRecv {
+		return f
+	}
+	h, f := s.Procs.Open(proc)
+	if f != nil {
+		return f
+	}
+	carry, f := h.Link(process.SlotCarry)
+	if f != nil {
+		return f
+	}
+	if f := s.Procs.SetAReg(ctx, uint8(action>>8), carry); f != nil {
+		return f
+	}
+	return h.SetLink(process.SlotCarry, obj.NilAD)
 }
 
 // execFinish is the shared per-instruction epilogue of both interpreter
@@ -707,7 +717,7 @@ func (s *System) execSend(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycle
 		}
 		return vtime.CostSend, cpu.unbind(s)
 	}
-	if wake != nil {
+	if wake.Woke() {
 		// A blocked receiver was handed the message directly.
 		if f := s.wakeProcessWithMsg(wake.Process, wake.Msg); f != nil {
 			return vtime.CostSend, f
@@ -758,7 +768,7 @@ func (s *System) execRecv(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycle
 	if f := P.SetAReg(ctx, in.A, msg); f != nil {
 		return vtime.CostReceive, f
 	}
-	if wake != nil {
+	if wake.Woke() {
 		// A parked sender's message was deposited; the sender just
 		// becomes ready.
 		if f := s.wakeProcess(wake.Process); f != nil {
@@ -965,7 +975,7 @@ func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) *obj.Faul
 		return s.Procs.SetState(proc, process.StateTerminated)
 	}
 	s.faultsSent++
-	if wake != nil {
+	if wake.Woke() {
 		return s.wakeProcessWithMsg(wake.Process, wake.Msg)
 	}
 	return nil
@@ -980,7 +990,7 @@ func (s *System) notifyScheduler(proc obj.AD) {
 		return
 	}
 	_, wake, f := s.Ports.Send(sport, proc, 0, obj.NilAD)
-	if f == nil && wake != nil {
+	if f == nil && wake.Woke() {
 		_ = s.wakeProcessWithMsg(wake.Process, wake.Msg)
 	}
 }
@@ -994,12 +1004,16 @@ func (s *System) wakeProcess(p obj.AD) *obj.Fault {
 // message rides in the carry slot until the process next runs, when the
 // resume action moves it into the destination register.
 func (s *System) wakeProcessWithMsg(p obj.AD, msg obj.AD) *obj.Fault {
+	h, f := s.Procs.Open(p)
+	if f != nil {
+		return f
+	}
 	if msg.Valid() {
-		if f := s.Procs.SetLink(p, process.SlotCarry, msg); f != nil {
+		if f := h.SetLink(process.SlotCarry, msg); f != nil {
 			return f
 		}
 	}
-	return s.MakeReady(p)
+	return s.makeReady(h)
 }
 
 var _ = fmt.Sprintf // reserved for diagnostics

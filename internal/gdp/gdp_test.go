@@ -20,7 +20,7 @@ func newSystem(t *testing.T, cpus int) *System {
 	return s
 }
 
-func mustDomain(t *testing.T, s *System, prog []isa.Instr) obj.AD {
+func mustDomain(t testing.TB, s *System, prog []isa.Instr) obj.AD {
 	t.Helper()
 	code, f := s.Domains.CreateCode(s.Heap, prog)
 	if f != nil {

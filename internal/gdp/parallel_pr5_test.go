@@ -10,7 +10,7 @@ import (
 
 // pingpongWorkload spawns a blocking two-process ping-pong over capacity-1
 // ports — the shape whose every epoch communicates across processors.
-func pingpongWorkload(t *testing.T, s *System, msgs int) {
+func pingpongWorkload(t testing.TB, s *System, msgs int) {
 	t.Helper()
 	ping, f := s.Ports.Create(s.Heap, 1, 0)
 	if f != nil {

@@ -25,7 +25,7 @@ func (s *System) SendMessage(prt, msg obj.AD, key uint32) (bool, *obj.Fault) {
 	if blocked {
 		return false, nil
 	}
-	if wake != nil {
+	if wake.Woke() {
 		if f := s.wakeProcessWithMsg(wake.Process, wake.Msg); f != nil {
 			return true, f
 		}
@@ -44,7 +44,7 @@ func (s *System) ReceiveMessage(prt obj.AD) (msg obj.AD, ok bool, fault *obj.Fau
 	if blocked {
 		return obj.NilAD, false, nil
 	}
-	if wake != nil {
+	if wake.Woke() {
 		if f := s.wakeProcess(wake.Process); f != nil {
 			return msg, true, f
 		}

@@ -176,6 +176,9 @@ type System struct {
 	// xcOff disables the execution cache (Config.NoExecCache), forcing
 	// every instruction down the uncached reference path.
 	xcOff bool
+	// xcPrimes counts successful execution-cache primes, a host-side
+	// diagnostic for the invalidation-rule tests.
+	xcPrimes uint64
 
 	// Trace-compiler state (trace.go). trOff disables the profile-guided
 	// trace JIT (Config.NoTraceJIT); traceTabs holds one per-code-object
@@ -509,10 +512,17 @@ func (s *System) nativeBodyOf(p obj.AD) NativeBody {
 // the dispatch mix — wakeups, time-slice end, and explicit starts all
 // funnel through it.
 func (s *System) MakeReady(p obj.AD) *obj.Fault {
-	if _, f := s.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := s.Procs.Open(p)
+	if f != nil {
 		return f
 	}
-	if st, f := s.Procs.StateOf(p); f != nil {
+	return s.makeReady(h)
+}
+
+// makeReady is MakeReady over an opened process: every read and write of
+// the process goes through the one handle.
+func (s *System) makeReady(h process.Handle) *obj.Fault {
+	if st, f := h.State(); f != nil {
 		return f
 	} else if st == process.StateTerminated {
 		return nil
@@ -522,23 +532,23 @@ func (s *System) MakeReady(p obj.AD) *obj.Fault {
 	// it on the matching start. This is the hook that lets stop/start
 	// apply cleanly even to processes that were blocked at a port when
 	// stopped — the wakeup funnels through here and parks them.
-	if sc, f := s.Procs.StopCount(p); f != nil {
+	if sc, f := h.StopCount(); f != nil {
 		return f
 	} else if sc > 0 {
-		return s.Procs.SetState(p, process.StateStopped)
+		return h.SetState(process.StateStopped)
 	}
-	dport, f := s.Procs.Link(p, process.SlotDispatchPort)
+	dport, f := h.Link(process.SlotDispatchPort)
 	if f != nil {
 		return f
 	}
 	if !dport.Valid() {
 		dport = s.Dispatch
 	}
-	prio, f := s.Procs.Priority(p)
+	prio, f := h.Priority()
 	if f != nil {
 		return f
 	}
-	if f := s.Procs.SetState(p, process.StateReady); f != nil {
+	if f := h.SetState(process.StateReady); f != nil {
 		return f
 	}
 	key := uint32(prio)
@@ -548,7 +558,7 @@ func (s *System) MakeReady(p obj.AD) *obj.Fault {
 		// due — aging instead of starvation.
 		key = uint32(s.Now() + s.deadlineBase/vtime.Cycles(prio+1))
 	}
-	blocked, _, f := s.Ports.Send(dport, p, key, obj.NilAD)
+	blocked, _, f := s.Ports.Send(dport, h.AD(), key, obj.NilAD)
 	if f != nil {
 		return f
 	}

@@ -11,10 +11,13 @@ package gdp
 //
 // Correctness rests on one rule: every operation that could alias cached
 // state bumps obj.Table's cache generation (destruction, swap-out/in,
-// compaction moves, AD stores into process or context objects, a committed
-// parallel epoch — see Table.CacheGen). The fast path compares its
-// generation snapshot on every instruction and falls back to the slow path
-// on any mismatch; the slow path re-primes. Data-part writes never bump the
+// compaction moves, AD stores into a process's context slot or by user
+// code into a context, a committed parallel epoch — see Table.CacheGen).
+// AD stores into a process's other slots — above all the carry slot a
+// message rides in to a woken receiver — never bump: the cache pins none
+// of them. The fast path compares its generation snapshot on every
+// instruction and falls back to the slow path on any mismatch; the slow
+// path re-primes. Data-part writes never bump the
 // generation and never need to: the cached windows are live views of
 // physical memory (mem.Window), so ordinary data traffic is coherent by
 // aliasing.
@@ -184,6 +187,7 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 		xc = &execCache{}
 		cpu.xc = xc
 	}
+	s.xcPrimes++
 	*xc = execCache{
 		gen:  gen,
 		proc: proc,
@@ -235,10 +239,9 @@ func (xc *execCache) operand(s *System, ad obj.AD) *resolveEntry {
 
 // execOneFast is the cached interpreter. It reports handled=false — with
 // the machine state untouched — whenever anything falls outside the cached
-// fast path: the cache is stale, a resume action is pending, the IP is out
-// of bounds, an operand fails to translate, or rights/bounds would fault.
-// The slow path then re-derives everything and produces the canonical
-// outcome, fault or not. limit is the quantum's remaining cycle allowance
+// fast path: the cache is stale, the IP is out of bounds, an operand fails
+// to translate, or rights/bounds would fault. The slow path then
+// re-derives everything and produces the canonical outcome, fault or not. limit is the quantum's remaining cycle allowance
 // (stepVM mins the budget and the time slice); only the trace runner uses
 // it — a single interpreted instruction is atomic regardless.
 func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault, bool) {
@@ -250,10 +253,14 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		}
 	}
 	win := xc.win
-	// A pending resume action (message carried to a woken receiver)
-	// belongs to the slow prologue.
+	// A pending resume action (message carried to a woken receiver) runs
+	// here through the slow prologue's own helper. The cache stays live
+	// across it: its stores — an access register, the process's carry
+	// slot — are exactly the AD stores that bump no generation.
 	if binary.LittleEndian.Uint16(win[process.CtxOffResume:]) != 0 {
-		return 0, nil, false
+		if f := s.resume(xc.proc, xc.ctx); f != nil {
+			return 0, f, true
+		}
 	}
 	ip := winIP(win)
 	if ip >= uint32(len(xc.prog)) {

@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -282,6 +283,37 @@ func (m *Memory) WriteDWord(e Extent, off uint32, v uint32) error {
 	d[b+1] = byte(v >> 8)
 	d[b+2] = byte(v >> 16)
 	d[b+3] = byte(v >> 24)
+	return nil
+}
+
+// ReadQWord reads a 64-bit value at offset off — one encoded access
+// descriptor slot in an access part.
+func (m *Memory) ReadQWord(e Extent, off uint32) (uint64, error) {
+	if err := m.check(e, off, 8); err != nil {
+		return 0, err
+	}
+	b := e.Base + Addr(off)
+	if m.fk != nil {
+		var p [8]byte
+		m.fk.access(b, p[:], false)
+		return binary.LittleEndian.Uint64(p[:]), nil
+	}
+	return binary.LittleEndian.Uint64(m.data[b:]), nil
+}
+
+// WriteQWord writes a 64-bit value at offset off.
+func (m *Memory) WriteQWord(e Extent, off uint32, v uint64) error {
+	if err := m.check(e, off, 8); err != nil {
+		return err
+	}
+	b := e.Base + Addr(off)
+	if m.fk != nil {
+		var p [8]byte
+		binary.LittleEndian.PutUint64(p[:], v)
+		m.fk.access(b, p[:], true)
+		return nil
+	}
+	binary.LittleEndian.PutUint64(m.data[b:], v)
 	return nil
 }
 

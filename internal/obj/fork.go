@@ -200,7 +200,7 @@ func (t *Table) ForkCommit() []Index {
 			written = append(written, idx)
 		}
 	}
-	// Cache-hazard AD stores (into process or context objects) may change
+	// Cache-hazard AD stores (see cacheHazard) may change
 	// only access-part bytes, leaving the descriptor bit-identical — but
 	// they can redirect the very structure an execution cache pins (the
 	// current-context slot, the domain slot). Fold those objects into the
@@ -218,8 +218,7 @@ func (t *Table) ForkCommit() []Index {
 }
 
 // noteCacheHazard records, during speculation, an object whose access slots
-// took an AD store that bumps the cache generation (StoreAD into a process
-// or context). ForkCommit reports these alongside the descriptor diffs.
+// took an AD store that bumps the cache generation (see cacheHazard). ForkCommit reports these alongside the descriptor diffs.
 // No-op on a non-fork table — there the generation bump itself suffices.
 func (t *Table) noteCacheHazard(idx Index) {
 	if t.fk != nil {

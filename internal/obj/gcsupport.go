@@ -78,15 +78,11 @@ func (t *Table) Referents(idx Index, fn func(AD)) *Fault {
 		return Faultf(FaultSegmentMoved, AD{Index: idx}, "cannot scan swapped object")
 	}
 	for slot := uint32(0); slot < d.AccessSlots; slot++ {
-		lo, err := t.mem.ReadDWord(d.Access, slot*ADSlotSize)
+		v, err := t.mem.ReadQWord(d.Access, slot*ADSlotSize)
 		if err != nil {
 			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
 		}
-		hi, err := t.mem.ReadDWord(d.Access, slot*ADSlotSize+4)
-		if err != nil {
-			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
-		}
-		if a := DecodeAD(uint64(lo) | uint64(hi)<<32); a.Valid() {
+		if a := DecodeAD(v); a.Valid() {
 			// Skip dangling entries (object since destroyed):
 			// they carry no reachability.
 			if _, f := t.Resolve(a); f == nil {

@@ -90,6 +90,12 @@ type Table struct {
 	adStores  uint64
 	grayings  uint64
 
+	// resolutions counts descriptor resolutions (Resolve, and so every
+	// Open and checked access). It is a host-side work diagnostic: it
+	// never enters fingerprints, results or the ledger, and forks keep
+	// their own count.
+	resolutions uint64
+
 	// tr is the kernel event log. nil means tracing is disabled; every
 	// emission site checks for nil locally so the disabled path is one
 	// branch.
@@ -99,8 +105,8 @@ type Table struct {
 	// interpreter's execution cache (internal/gdp). Every operation that
 	// could alias cached descriptor state — destruction (including SRO and
 	// level reclaim), swap-out/in, extent moves during compaction, AD
-	// stores into process or context objects, a committed parallel epoch —
-	// bumps it; a cached entry whose snapshot differs is dead.
+	// stores into a process's context slot or (user stores) into a
+	// context, a committed parallel epoch — bumps it (see cacheHazard); a cached entry whose snapshot differs is dead.
 	xgen uint64
 
 	// reserved counts descriptor slots currently held out of circulation
@@ -152,6 +158,11 @@ func (t *Table) Stats() (created, destroyed, adStores, grayings uint64) {
 	return t.created, t.destroyed, t.adStores, t.grayings
 }
 
+// Resolutions reports how many capability resolutions the table has
+// performed — the per-reference qualification work the checked access
+// paths and Open do. A host-side diagnostic, not a machine observable.
+func (t *Table) Resolutions() uint64 { return t.resolutions }
+
 // SetTracer installs (or, with nil, removes) the kernel event log. The
 // table is the one structure every subsystem already holds, so it carries
 // the tracer for all of them.
@@ -171,7 +182,7 @@ func (t *Table) Tracer() *trace.Log { return t.tr }
 // fuses hot regions into superinstructions that run over pinned mem.Window
 // views with the instruction pointer deferred to region exit. Those runs
 // are safe against exactly the hazards this generation covers — destroy,
-// swap-out/in, compaction moves, AD stores into process/context objects —
+// swap-out/in, compaction moves, the AD stores cacheHazard names —
 // because a trace executes only from an execution cache whose generation
 // was just checked, and no fused operation can bump the generation
 // mid-run. Any new table mutation that can invalidate a derived window or
@@ -179,8 +190,8 @@ func (t *Table) Tracer() *trace.Log { return t.tr }
 // compiled traces will keep executing a world that no longer exists.
 //
 // An epoch fork reports the sum of its parent's generation and its own:
-// fork-local aliasing operations (an AD store into a process or context
-// during speculation) bump the fork's generation, and structural events on
+// fork-local aliasing operations (a cacheHazard AD store during
+// speculation) bump the fork's generation, and structural events on
 // the parent between epochs bump the parent's; either advances the sum, so
 // a fork-primed cache goes stale on both kinds of hazard. The parent is
 // quiescent while forks execute, so the cross-read is race-free.
@@ -202,39 +213,19 @@ func (t *Table) InvalidateCaches() { t.xgen++ }
 // the generation must match. It returns the descriptor for inspection.
 // Mutation must go through the table's methods.
 func (t *Table) Resolve(a AD) (*Descriptor, *Fault) {
+	t.resolutions++
 	if !a.Valid() || int(a.Index) >= t.Len() {
 		return nil, Faultf(FaultInvalidAD, a, "no such object")
 	}
 	d := t.slot(a.Index)
-	if !d.Valid || d.Gen&adGenMask != a.Gen&adGenMask {
-		return nil, Faultf(FaultInvalidAD, a, "object destroyed (dangling capability)")
+	if !d.Valid || (d.Gen^a.Gen)&adGenMask != 0 {
+		return nil, dangling(a)
 	}
 	return d, nil
 }
 
-// resolveRights resolves a and additionally demands the given rights.
-func (t *Table) resolveRights(a AD, want Rights) (*Descriptor, *Fault) {
-	d, f := t.Resolve(a)
-	if f != nil {
-		return nil, f
-	}
-	if !a.Rights.Has(want) {
-		return nil, Faultf(FaultRights, a, "need %s", want)
-	}
-	return d, nil
-}
-
-// resolvePresent resolves a with rights and faults FaultSegmentMoved when
-// the object is swapped out (§6.2): the memory manager services that fault.
-func (t *Table) resolvePresent(a AD, want Rights) (*Descriptor, *Fault) {
-	d, f := t.resolveRights(a, want)
-	if f != nil {
-		return nil, f
-	}
-	if d.SwappedOut {
-		return nil, Faultf(FaultSegmentMoved, a, "swapped out (token %d)", d.SwapToken)
-	}
-	return d, nil
+func dangling(a AD) *Fault {
+	return Faultf(FaultInvalidAD, a, "object destroyed (dangling capability)")
 }
 
 // CreateSpec describes an object to create.
@@ -324,11 +315,11 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 // reclamation (§5) dispose of objects; user code generally never calls it —
 // objects are garbage collected (§8.1).
 func (t *Table) Destroy(a AD) *Fault {
-	d, f := t.resolveRights(a, RightDelete)
+	r, f := t.Open(a, RightDelete)
 	if f != nil {
 		return f
 	}
-	return t.destroyDesc(a.Index, d)
+	return t.destroyDesc(a.Index, r.d)
 }
 
 // DestroyIndex invalidates the object at idx without a capability check;
@@ -406,12 +397,6 @@ func (t *Table) LevelOf(a AD) (Level, *Fault) {
 // RequireType resolves a and faults unless the object has hardware type
 // want. This is the checked-type path every type manager relies on.
 func (t *Table) RequireType(a AD, want Type) (*Descriptor, *Fault) {
-	d, f := t.Resolve(a)
-	if f != nil {
-		return nil, f
-	}
-	if d.Type != want {
-		return nil, Faultf(FaultType, a, "have %s, need %s", d.Type, want)
-	}
-	return d, nil
+	r, f := t.OpenType(a, want)
+	return r.d, f
 }

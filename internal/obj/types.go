@@ -110,6 +110,13 @@ func (r Rights) String() string {
 	return string(out)
 }
 
+// ProcSlotContext is the access slot of a process object that names its
+// current (top) context. It is the one process slot the interpreter's
+// execution cache derives state from, so it is the one process slot whose
+// AD stores invalidate caches (see cacheHazard); internal/process names
+// it SlotContext.
+const ProcSlotContext = 0
+
 // Index names an entry in the global object descriptor table.
 type Index uint32
 

@@ -80,8 +80,8 @@ func FuzzPortSendReceive(f *testing.F) {
 		}
 		// unparked removes a process a Wake reports as woken from the
 		// model of the corresponding wait queue.
-		unparked := func(pool *[]obj.AD, w *port.Wake) {
-			if w == nil {
+		unparked := func(pool *[]obj.AD, w port.Wake) {
+			if !w.Woke() {
 				return
 			}
 			for j, p := range *pool {

@@ -111,7 +111,7 @@ func BenchmarkParkUnpark(b *testing.B) {
 		if f != nil || !blocked {
 			b.Fatalf("park: %v %v", blocked, f)
 		}
-		if _, _, wake, f := fx.m.Receive(p, obj.NilAD); f != nil || wake == nil {
+		if _, _, wake, f := fx.m.Receive(p, obj.NilAD); f != nil || !wake.Woke() {
 			b.Fatalf("unpark: %v %v", wake, f)
 		}
 	}

@@ -19,15 +19,16 @@ import (
 // aborts the whole cancellation immediately — the receiver queue must not
 // be walked over a port whose sender queue just proved corrupt.
 func (m *Manager) CancelWaiter(p obj.AD, proc obj.AD) (found bool, msg obj.AD, f *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
+	pr, f := m.open(p)
+	if f != nil {
 		return false, obj.NilAD, f
 	}
-	found, msg, f = m.unlink(p, slotSendHead, slotSendTail, proc)
+	found, msg, f = m.unlink(pr, slotSendHead, slotSendTail, proc)
 	if f != nil {
 		return false, obj.NilAD, f
 	}
 	if !found {
-		found, msg, f = m.unlink(p, slotRecvHead, slotRecvTail, proc)
+		found, msg, f = m.unlink(pr, slotRecvHead, slotRecvTail, proc)
 		if f != nil {
 			return false, obj.NilAD, f
 		}
@@ -41,47 +42,51 @@ func (m *Manager) CancelWaiter(p obj.AD, proc obj.AD) (found bool, msg obj.AD, f
 }
 
 // unlink removes the carrier holding proc from one wait queue.
-func (m *Manager) unlink(p obj.AD, headSlot, tailSlot uint32, proc obj.AD) (bool, obj.AD, *obj.Fault) {
-	var prev obj.AD
-	cur, f := m.Table.LoadAD(p, headSlot)
+func (m *Manager) unlink(p obj.Ref, headSlot, tailSlot uint32, proc obj.AD) (bool, obj.AD, *obj.Fault) {
+	var prev obj.Ref
+	cur, f := p.LoadAD(headSlot)
 	if f != nil {
 		return false, obj.NilAD, f
 	}
 	for cur.Valid() {
-		held, f := m.Table.LoadAD(cur, carSlotProcess)
+		car, f := m.Table.Open(cur, obj.RightsNone)
 		if f != nil {
 			return false, obj.NilAD, f
 		}
-		next, f := m.Table.LoadAD(cur, carSlotNext)
+		held, f := car.LoadAD(carSlotProcess)
+		if f != nil {
+			return false, obj.NilAD, f
+		}
+		next, f := car.LoadAD(carSlotNext)
 		if f != nil {
 			return false, obj.NilAD, f
 		}
 		if held.Index == proc.Index {
-			msg, f := m.Table.LoadAD(cur, carSlotMessage)
+			msg, f := car.LoadAD(carSlotMessage)
 			if f != nil {
 				return false, obj.NilAD, f
 			}
 			// Splice the carrier out.
-			if prev.Valid() {
-				if f := m.Table.StoreADSystem(prev, carSlotNext, next); f != nil {
+			if prev.AD().Valid() {
+				if f := prev.StoreADSystem(carSlotNext, next); f != nil {
 					return false, obj.NilAD, f
 				}
 			} else {
-				if f := m.Table.StoreADSystem(p, headSlot, next); f != nil {
+				if f := p.StoreADSystem(headSlot, next); f != nil {
 					return false, obj.NilAD, f
 				}
 			}
 			if !next.Valid() {
-				if f := m.Table.StoreADSystem(p, tailSlot, prev); f != nil {
+				if f := p.StoreADSystem(tailSlot, prev.AD()); f != nil {
 					return false, obj.NilAD, f
 				}
 			}
-			if f := m.pool(p, cur); f != nil {
+			if f := pool(p, car); f != nil {
 				return false, obj.NilAD, f
 			}
 			return true, msg, nil
 		}
-		prev, cur = cur, next
+		prev, cur = car, next
 	}
 	return false, obj.NilAD, nil
 }

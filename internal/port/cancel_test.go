@@ -34,7 +34,7 @@ func TestCancelBlockedSender(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	if wake != nil {
+	if wake.Woke() {
 		t.Fatal("cancelled sender woken")
 	}
 }
@@ -55,7 +55,7 @@ func TestCancelBlockedReceiver(t *testing.T) {
 	}
 	// A subsequent send queues instead of waking the gone receiver.
 	blocked, wake, f := fx.m.Send(p, fx.newMsg(t), 0, obj.NilAD)
-	if f != nil || blocked || wake != nil {
+	if f != nil || blocked || wake.Woke() {
 		t.Fatalf("send after cancel: %v %v %v", blocked, wake, f)
 	}
 	if n, _ := fx.m.Count(p); n != 1 {
@@ -82,11 +82,11 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 	}
 	// The remaining waiters wake in their original order.
 	_, _, wake, _ := fx.m.Receive(p, obj.NilAD)
-	if wake == nil || wake.Process.Index != procs[0].Index {
+	if !wake.Woke() || wake.Process.Index != procs[0].Index {
 		t.Fatal("first waiter wrong after middle cancel")
 	}
 	_, _, wake, _ = fx.m.Receive(p, obj.NilAD)
-	if wake == nil || wake.Process.Index != procs[2].Index {
+	if !wake.Woke() || wake.Process.Index != procs[2].Index {
 		t.Fatal("last waiter wrong after middle cancel")
 	}
 }
@@ -111,11 +111,11 @@ func TestCancelTailThenAppend(t *testing.T) {
 		t.Fatalf("WaitingSenders = %d", n)
 	}
 	_, _, wake, _ := fx.m.Receive(p, obj.NilAD)
-	if wake == nil || wake.Process.Index != a.Index {
+	if !wake.Woke() || wake.Process.Index != a.Index {
 		t.Fatal("head waiter wrong")
 	}
 	_, _, wake, _ = fx.m.Receive(p, obj.NilAD)
-	if wake == nil || wake.Process.Index != c.Index {
+	if !wake.Woke() || wake.Process.Index != c.Index {
 		t.Fatal("appended waiter lost after tail cancel")
 	}
 }

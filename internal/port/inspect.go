@@ -62,22 +62,23 @@ func (st *State) OccupiedSlots() int {
 // bounded by the table size, so a corrupted (cyclic) queue faults instead
 // of hanging.
 func (m *Manager) Inspect(p obj.AD) (*State, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
+	pr, f := m.open(p)
+	if f != nil {
 		return nil, f
 	}
 	st := &State{}
-	disc, f := m.Table.ReadWord(p, offDiscipline)
+	disc, f := pr.ReadWord(offDiscipline)
 	if f != nil {
 		return nil, f
 	}
 	st.Discipline = Discipline(disc)
-	if st.Capacity, st.Count, f = m.counts(p); f != nil {
+	if st.Capacity, st.Count, f = counts(pr); f != nil {
 		return nil, f
 	}
 	st.Slots = make([]SlotState, st.Capacity)
 	for i := uint32(0); i < uint32(st.Capacity); i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := m.Table.ReadWord(p, rec+recOccupied)
+		occ, f := pr.ReadWord(rec + recOccupied)
 		if f != nil {
 			return nil, f
 		}
@@ -86,13 +87,13 @@ func (m *Manager) Inspect(p obj.AD) (*State, *obj.Fault) {
 		}
 		s := &st.Slots[i]
 		s.Occupied = true
-		if s.Msg, f = m.Table.LoadAD(p, slotMsg0+i); f != nil {
+		if s.Msg, f = pr.LoadAD(slotMsg0 + i); f != nil {
 			return nil, f
 		}
-		if s.Key, f = m.Table.ReadDWord(p, rec+recKey); f != nil {
+		if s.Key, f = pr.ReadDWord(rec + recKey); f != nil {
 			return nil, f
 		}
-		if s.Seq, f = m.Table.ReadDWord(p, rec+recSeq); f != nil {
+		if s.Seq, f = pr.ReadDWord(rec + recSeq); f != nil {
 			return nil, f
 		}
 	}
@@ -105,12 +106,12 @@ func (m *Manager) Inspect(p obj.AD) (*State, *obj.Fault) {
 	if st.Free, f = m.walkFree(p); f != nil {
 		return nil, f
 	}
-	if tail, f := m.Table.LoadAD(p, slotSendTail); f != nil {
+	if tail, f := pr.LoadAD(slotSendTail); f != nil {
 		return nil, f
 	} else {
 		st.SendTail = tailIndex(tail)
 	}
-	if tail, f := m.Table.LoadAD(p, slotRecvTail); f != nil {
+	if tail, f := pr.LoadAD(slotRecvTail); f != nil {
 		return nil, f
 	} else {
 		st.RecvTail = tailIndex(tail)

@@ -143,10 +143,23 @@ func (m *Manager) Create(heap obj.AD, capacity uint16, d Discipline) (obj.AD, *o
 
 // Wake describes a process unblocked by a port operation: the dispatching
 // machinery (internal/gdp) must return it to the dispatch mix. For a woken
-// receiver, Msg carries the message it was handed.
+// receiver, Msg carries the message it was handed. The zero Wake (no
+// Process) means nobody was woken; Wakes travel by value, so a port
+// instruction allocates nothing.
 type Wake struct {
 	Process obj.AD
 	Msg     obj.AD
+}
+
+// Woke reports whether the operation unblocked a process.
+func (w Wake) Woke() bool { return w.Process.Valid() }
+
+// open qualifies a port capability for one port instruction: the port is
+// resolved once and every queue access below works on the handle. The
+// handle is re-opened only after a carrier creation, which may grow the
+// descriptor table under it (see obj.Ref).
+func (m *Manager) open(p obj.AD) (obj.Ref, *obj.Fault) {
+	return m.Table.OpenType(p, obj.TypePort)
 }
 
 // Send queues msg at the port. key orders the message under the priority
@@ -162,62 +175,68 @@ type Wake struct {
 //     (blocked=true); the caller must stop running it;
 //   - queue full and proc is nil: the conditional send — fails with
 //     blocked=true and no side effects.
-func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked bool, wake *Wake, f *obj.Fault) {
-	d, f := m.Table.RequireType(p, obj.TypePort)
+//
+// The port capability's Read and Write rights are demanded before any
+// queue access, so a rights fault never leaves a side effect (such as a
+// freshly created carrier) behind.
+func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked bool, wake Wake, f *obj.Fault) {
+	pr, f := m.open(p)
 	if f != nil {
-		return false, nil, f
+		return false, Wake{}, f
 	}
 	if !p.Rights.Has(RightSend) {
-		return false, nil, obj.Faultf(obj.FaultRights, p, "need send right")
+		return false, Wake{}, obj.Faultf(obj.FaultRights, p, "need send right")
 	}
 	if !msg.Valid() {
-		return false, nil, obj.Faultf(obj.FaultInvalidAD, msg, "nil message")
+		return false, Wake{}, obj.Faultf(obj.FaultInvalidAD, msg, "nil message")
 	}
 	// The lifetime rule of §5: a message must be no shorter-lived than
 	// the port carrying it, or a receiver could be handed a dangling
 	// reference after the sender's heap unwinds.
 	md, f := m.Table.Resolve(msg)
 	if f != nil {
-		return false, nil, f
+		return false, Wake{}, f
 	}
-	if md.Level > d.Level {
-		return false, nil, obj.Faultf(obj.FaultLevel, msg,
-			"level-%d message through level-%d port", md.Level, d.Level)
+	if md.Level > pr.Desc().Level {
+		return false, Wake{}, obj.Faultf(obj.FaultLevel, msg,
+			"level-%d message through level-%d port", md.Level, pr.Desc().Level)
 	}
-
-	capacity, count, f := m.counts(p)
+	if f := pr.Require(obj.RightRead | obj.RightWrite); f != nil {
+		return false, Wake{}, f
+	}
+	capacity, count, f := counts(pr)
 	if f != nil {
-		return false, nil, f
+		return false, Wake{}, f
 	}
 	if count >= capacity {
 		if !proc.Valid() {
-			return true, nil, nil // conditional send would block
+			return true, Wake{}, nil // conditional send would block
 		}
-		if f := m.park(p, slotSendHead, slotSendTail, proc, msg, key); f != nil {
-			return false, nil, f
+		if f := m.park(&pr, slotSendHead, slotSendTail, proc, msg, key); f != nil {
+			return false, Wake{}, f
 		}
-		return true, nil, nil
+		return true, Wake{}, nil
 	}
-	if f := m.deposit(p, capacity, msg, key); f != nil {
-		return false, nil, f
+	if f := deposit(pr, capacity, count, msg, key); f != nil {
+		return false, Wake{}, f
 	}
 	if l := m.Table.Tracer(); l != nil {
 		l.Emit(trace.EvSend, uint32(p.Index), uint32(msg.Index), uint64(key))
 	}
 	// A blocked receiver (possible only when the queue was empty) takes
 	// the best message immediately.
-	recv, f := m.unpark(p, slotRecvHead, slotRecvTail)
+	recv, f := m.unpark(pr, slotRecvHead, slotRecvTail)
 	if f != nil {
-		return false, nil, f
+		return false, Wake{}, f
 	}
-	if recv != nil {
-		got, f := m.takeBest(p)
+	if recv.Process.Valid() {
+		got, f := takeBest(pr)
 		if f != nil {
-			return false, nil, f
+			return false, Wake{}, f
 		}
-		return false, &Wake{Process: recv.Process, Msg: got}, nil
+		return false, Wake{Process: recv.Process, Msg: got}, nil
 	}
-	return false, nil, nil
+	return false, Wake{}, nil
 }
 
 // Receive takes a message from the port.
@@ -231,114 +250,118 @@ func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked b
 //   - empty and proc valid: proc parks on the receiver queue
 //     (blocked=true);
 //   - empty and proc nil: conditional receive — blocked=true, no effect.
-func (m *Manager) Receive(p obj.AD, proc obj.AD) (msg obj.AD, blocked bool, wake *Wake, f *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
-		return obj.NilAD, false, nil, f
+//
+// As in Send, Read and Write on the port are demanded up front.
+func (m *Manager) Receive(p obj.AD, proc obj.AD) (msg obj.AD, blocked bool, wake Wake, f *obj.Fault) {
+	pr, f := m.open(p)
+	if f != nil {
+		return obj.NilAD, false, Wake{}, f
 	}
 	if !p.Rights.Has(RightReceive) {
-		return obj.NilAD, false, nil, obj.Faultf(obj.FaultRights, p, "need receive right")
+		return obj.NilAD, false, Wake{}, obj.Faultf(obj.FaultRights, p, "need receive right")
 	}
-	capacity, count, f := m.counts(p)
+	if f := pr.Require(obj.RightRead | obj.RightWrite); f != nil {
+		return obj.NilAD, false, Wake{}, f
+	}
+	capacity, count, f := counts(pr)
 	if f != nil {
-		return obj.NilAD, false, nil, f
+		return obj.NilAD, false, Wake{}, f
 	}
 	if count == 0 {
 		if !proc.Valid() {
-			return obj.NilAD, true, nil, nil
+			return obj.NilAD, true, Wake{}, nil
 		}
-		if f := m.park(p, slotRecvHead, slotRecvTail, proc, obj.NilAD, 0); f != nil {
-			return obj.NilAD, false, nil, f
+		if f := m.park(&pr, slotRecvHead, slotRecvTail, proc, obj.NilAD, 0); f != nil {
+			return obj.NilAD, false, Wake{}, f
 		}
-		return obj.NilAD, true, nil, nil
+		return obj.NilAD, true, Wake{}, nil
 	}
-	msg, f = m.takeBest(p)
+	msg, f = takeBest(pr)
 	if f != nil {
-		return obj.NilAD, false, nil, f
+		return obj.NilAD, false, Wake{}, f
 	}
 	if l := m.Table.Tracer(); l != nil {
 		l.Emit(trace.EvRecv, uint32(p.Index), uint32(msg.Index), 0)
 	}
 	// A blocked sender's message moves into the freed slot.
-	send, f := m.unpark(p, slotSendHead, slotSendTail)
+	send, f := m.unpark(pr, slotSendHead, slotSendTail)
 	if f != nil {
-		return obj.NilAD, false, nil, f
+		return obj.NilAD, false, Wake{}, f
 	}
-	if send != nil {
-		if f := m.deposit(p, capacity, send.Msg, send.key); f != nil {
-			return obj.NilAD, false, nil, f
+	if send.Process.Valid() {
+		if f := deposit(pr, capacity, count-1, send.Msg, send.key); f != nil {
+			return obj.NilAD, false, Wake{}, f
 		}
 		if l := m.Table.Tracer(); l != nil {
 			l.Emit(trace.EvSend, uint32(p.Index), uint32(send.Msg.Index), uint64(send.key))
 		}
-		return msg, false, &Wake{Process: send.Process}, nil
+		return msg, false, Wake{Process: send.Process}, nil
 	}
-	return msg, false, nil, nil
+	return msg, false, Wake{}, nil
 }
 
 // Count reports the number of messages queued at the port.
 func (m *Manager) Count(p obj.AD) (int, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
+	pr, f := m.open(p)
+	if f != nil {
 		return 0, f
 	}
-	_, count, f := m.counts(p)
+	_, count, f := counts(pr)
 	return int(count), f
 }
 
 // DisciplineOf reports the port's queueing discipline.
 func (m *Manager) DisciplineOf(p obj.AD) (Discipline, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
+	pr, f := m.open(p)
+	if f != nil {
 		return 0, f
 	}
-	d, f := m.Table.ReadWord(p, offDiscipline)
+	d, f := pr.ReadWord(offDiscipline)
 	return Discipline(d), f
 }
 
-func (m *Manager) counts(p obj.AD) (capacity, count uint16, f *obj.Fault) {
-	if capacity, f = m.Table.ReadWord(p, offCapacity); f != nil {
+func counts(pr obj.Ref) (capacity, count uint16, f *obj.Fault) {
+	if capacity, f = pr.ReadWord(offCapacity); f != nil {
 		return
 	}
-	count, f = m.Table.ReadWord(p, offCount)
+	count, f = pr.ReadWord(offCount)
 	return
 }
 
 // deposit places msg into a free slot with the given key and stamps the
-// arrival sequence.
-func (m *Manager) deposit(p obj.AD, capacity uint16, msg obj.AD, key uint32) *obj.Fault {
+// arrival sequence; count is the queue length the caller just read.
+func deposit(pr obj.Ref, capacity, count uint16, msg obj.AD, key uint32) *obj.Fault {
 	for i := uint32(0); i < uint32(capacity); i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := m.Table.ReadWord(p, rec+recOccupied)
+		occ, f := pr.ReadWord(rec + recOccupied)
 		if f != nil {
 			return f
 		}
 		if occ != 0 {
 			continue
 		}
-		seq, f := m.Table.ReadDWord(p, offSeq)
+		seq, f := pr.ReadDWord(offSeq)
 		if f != nil {
 			return f
 		}
-		if f := m.Table.WriteDWord(p, offSeq, seq+1); f != nil {
+		if f := pr.WriteDWord(offSeq, seq+1); f != nil {
 			return f
 		}
-		if f := m.Table.StoreAD(p, slotMsg0+i, msg); f != nil {
+		if f := pr.StoreAD(slotMsg0+i, msg); f != nil {
 			return f
 		}
-		if f := m.Table.WriteWord(p, rec+recOccupied, 1); f != nil {
+		if f := pr.WriteWord(rec+recOccupied, 1); f != nil {
 			return f
 		}
-		if f := m.Table.WriteDWord(p, rec+recKey, key); f != nil {
+		if f := pr.WriteDWord(rec+recKey, key); f != nil {
 			return f
 		}
-		if f := m.Table.WriteDWord(p, rec+recSeq, seq); f != nil {
+		if f := pr.WriteDWord(rec+recSeq, seq); f != nil {
 			return f
 		}
-		count, f := m.Table.ReadWord(p, offCount)
-		if f != nil {
-			return f
-		}
-		return m.Table.WriteWord(p, offCount, count+1)
+		return pr.WriteWord(offCount, count+1)
 	}
-	return obj.Faultf(obj.FaultOddity, p, "no free slot despite count < capacity")
+	return obj.Faultf(obj.FaultOddity, pr.AD(), "no free slot despite count < capacity")
 }
 
 // takeBest removes and returns the message the discipline orders first.
@@ -347,12 +370,12 @@ func (m *Manager) deposit(p obj.AD, capacity uint16, msg obj.AD, key uint32) *ob
 // port pays for its messages, not its capacity. Selection among the
 // occupied slots is unchanged, so the result — and every byte written —
 // is identical under all three disciplines.
-func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
-	disc, f := m.Table.ReadWord(p, offDiscipline)
+func takeBest(pr obj.Ref) (obj.AD, *obj.Fault) {
+	disc, f := pr.ReadWord(offDiscipline)
 	if f != nil {
 		return obj.NilAD, f
 	}
-	capacity, count, f := m.counts(p)
+	capacity, count, f := counts(pr)
 	if f != nil {
 		return obj.NilAD, f
 	}
@@ -361,7 +384,7 @@ func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
 	seen := uint16(0)
 	for i := uint32(0); i < uint32(capacity) && seen < count; i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := m.Table.ReadWord(p, rec+recOccupied)
+		occ, f := pr.ReadWord(rec + recOccupied)
 		if f != nil {
 			return obj.NilAD, f
 		}
@@ -369,11 +392,11 @@ func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
 			continue
 		}
 		seen++
-		key, f := m.Table.ReadDWord(p, rec+recKey)
+		key, f := pr.ReadDWord(rec + recKey)
 		if f != nil {
 			return obj.NilAD, f
 		}
-		seq, f := m.Table.ReadDWord(p, rec+recSeq)
+		seq, f := pr.ReadDWord(rec + recSeq)
 		if f != nil {
 			return obj.NilAD, f
 		}
@@ -391,27 +414,24 @@ func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
 		}
 	}
 	if best < 0 {
-		return obj.NilAD, obj.Faultf(obj.FaultOddity, p, "count > 0 but no occupied slot")
+		return obj.NilAD, obj.Faultf(obj.FaultOddity, pr.AD(), "count > 0 but no occupied slot")
 	}
-	msg, f := m.Table.LoadAD(p, slotMsg0+uint32(best))
+	msg, f := pr.LoadAD(slotMsg0 + uint32(best))
 	if f != nil {
 		return obj.NilAD, f
 	}
 	rec := offSlots + uint32(best)*slotRecSize
-	if f := m.Table.WriteWord(p, rec+recOccupied, 0); f != nil {
+	if f := pr.WriteWord(rec+recOccupied, 0); f != nil {
 		return obj.NilAD, f
 	}
-	if f := m.Table.StoreAD(p, slotMsg0+uint32(best), obj.NilAD); f != nil {
+	if f := pr.StoreAD(slotMsg0+uint32(best), obj.NilAD); f != nil {
 		return obj.NilAD, f
 	}
-	cnt, f := m.Table.ReadWord(p, offCount)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	return msg, m.Table.WriteWord(p, offCount, cnt-1)
+	return msg, pr.WriteWord(offCount, count-1)
 }
 
-// parked describes a carrier removed from a wait queue.
+// parked describes a carrier removed from a wait queue; the zero value
+// (no Process) means the queue was empty.
 type parked struct {
 	Process obj.AD
 	Msg     obj.AD
@@ -421,44 +441,46 @@ type parked struct {
 // park appends a carrier holding proc (and, for senders, msg/key) to the
 // wait queue named by the head/tail slots. Carriers come from the port's
 // free pool when one is available, else from the port's own SRO — either
-// way the whole structure shares the port's lifetime.
+// way the whole structure shares the port's lifetime. A fresh carrier
+// re-opens *pr (see carrier).
 //
 // The pool matters to the parallel host backend: creating or destroying an
 // object is a structural operation an epoch fork cannot speculate (slot and
 // extent allocation order), so create-per-park made every blocking
 // send/receive abort its epoch. Popping and pushing a pooled carrier is
 // pure AD-slot traffic, which speculates fine.
-func (m *Manager) park(p obj.AD, headSlot, tailSlot uint32, proc, msg obj.AD, key uint32) *obj.Fault {
-	car, f := m.carrier(p)
+func (m *Manager) park(pr *obj.Ref, headSlot, tailSlot uint32, proc, msg obj.AD, key uint32) *obj.Fault {
+	car, f := m.carrier(pr)
 	if f != nil {
 		return f
 	}
-	if f := m.Table.WriteDWord(car, carKey, key); f != nil {
+	p := *pr
+	if f := car.WriteDWord(carKey, key); f != nil {
 		return f
 	}
 	// Hardware queues link below the level discipline: see StoreADSystem.
-	if f := m.Table.StoreADSystem(car, carSlotProcess, proc); f != nil {
+	if f := car.StoreADSystem(carSlotProcess, proc); f != nil {
 		return f
 	}
 	if msg.Valid() {
-		if f := m.Table.StoreADSystem(car, carSlotMessage, msg); f != nil {
+		if f := car.StoreADSystem(carSlotMessage, msg); f != nil {
 			return f
 		}
 	}
-	tail, f := m.Table.LoadAD(p, tailSlot)
+	tail, f := p.LoadAD(tailSlot)
 	if f != nil {
 		return f
 	}
 	if tail.Valid() {
-		if f := m.Table.StoreADSystem(tail, carSlotNext, car); f != nil {
+		if f := m.Table.StoreADSystem(tail, carSlotNext, car.AD()); f != nil {
 			return f
 		}
 	} else {
-		if f := m.Table.StoreADSystem(p, headSlot, car); f != nil {
+		if f := p.StoreADSystem(headSlot, car.AD()); f != nil {
 			return f
 		}
 	}
-	if f := m.Table.StoreADSystem(p, tailSlot, car); f != nil {
+	if f := p.StoreADSystem(tailSlot, car.AD()); f != nil {
 		return f
 	}
 	if l := m.Table.Tracer(); l != nil {
@@ -466,115 +488,129 @@ func (m *Manager) park(p obj.AD, headSlot, tailSlot uint32, proc, msg obj.AD, ke
 		if headSlot == slotRecvHead {
 			side = 1
 		}
-		l.Emit(trace.EvPark, uint32(p.Index), uint32(proc.Index), side)
+		l.Emit(trace.EvPark, uint32(p.AD().Index), uint32(proc.Index), side)
 	}
 	return nil
 }
 
-// carrier produces a carrier for park: the head of the port's free pool if
-// one is there, else a fresh allocation from the port's SRO.
-func (m *Manager) carrier(p obj.AD) (obj.AD, *obj.Fault) {
-	car, f := m.Table.LoadAD(p, slotFree)
+// carrier produces an opened carrier for park: the head of the port's free
+// pool if one is there, else a fresh allocation from the port's SRO —
+// after which *pr is re-opened, since the creation may have grown the
+// descriptor table under it.
+func (m *Manager) carrier(pr *obj.Ref) (obj.Ref, *obj.Fault) {
+	p := *pr
+	ad, f := p.LoadAD(slotFree)
 	if f != nil {
-		return obj.NilAD, f
+		return obj.Ref{}, f
 	}
-	if car.Valid() {
-		next, f := m.Table.LoadAD(car, carSlotNext)
+	if ad.Valid() {
+		car, f := m.Table.Open(ad, obj.RightsNone)
 		if f != nil {
-			return obj.NilAD, f
+			return obj.Ref{}, f
 		}
-		if f := m.Table.StoreADSystem(p, slotFree, next); f != nil {
-			return obj.NilAD, f
+		next, f := car.LoadAD(carSlotNext)
+		if f != nil {
+			return obj.Ref{}, f
 		}
-		if f := m.Table.StoreADSystem(car, carSlotNext, obj.NilAD); f != nil {
-			return obj.NilAD, f
+		if f := p.StoreADSystem(slotFree, next); f != nil {
+			return obj.Ref{}, f
+		}
+		if f := car.StoreADSystem(carSlotNext, obj.NilAD); f != nil {
+			return obj.Ref{}, f
 		}
 		return car, nil
 	}
-	pd := m.Table.DescriptorAt(p.Index)
-	sroAD, f := m.sroCapOf(pd.SRO, p)
+	sroAD, f := m.sroCapOf(p.Desc().SRO, p.AD())
 	if f != nil {
-		return obj.NilAD, f
+		return obj.Ref{}, f
 	}
-	return m.SRO.Create(sroAD, obj.CreateSpec{
+	ad, f = m.SRO.Create(sroAD, obj.CreateSpec{
 		Type:        obj.TypeCarrier,
 		DataLen:     carData,
 		AccessSlots: carSlots,
 	})
+	if f != nil {
+		return obj.Ref{}, f
+	}
+	if *pr, f = m.Table.Open(p.AD(), obj.RightsNone); f != nil {
+		return obj.Ref{}, f
+	}
+	return m.Table.Open(ad, obj.RightsNone)
 }
 
 // pool scrubs a carrier just removed from a wait queue — the process slot
 // always, the message slot when it carried one, so the pool never extends
 // a process's or message's lifetime — and pushes it onto the port's free
 // pool for the next park.
-func (m *Manager) pool(p, car obj.AD) *obj.Fault {
-	if f := m.Table.StoreADSystem(car, carSlotProcess, obj.NilAD); f != nil {
+func pool(p, car obj.Ref) *obj.Fault {
+	if f := car.StoreADSystem(carSlotProcess, obj.NilAD); f != nil {
 		return f
 	}
-	msg, f := m.Table.LoadAD(car, carSlotMessage)
+	msg, f := car.LoadAD(carSlotMessage)
 	if f != nil {
 		return f
 	}
 	if msg.Valid() {
-		if f := m.Table.StoreADSystem(car, carSlotMessage, obj.NilAD); f != nil {
+		if f := car.StoreADSystem(carSlotMessage, obj.NilAD); f != nil {
 			return f
 		}
 	}
-	free, f := m.Table.LoadAD(p, slotFree)
+	free, f := p.LoadAD(slotFree)
 	if f != nil {
 		return f
 	}
-	if f := m.Table.StoreADSystem(car, carSlotNext, free); f != nil {
+	if f := car.StoreADSystem(carSlotNext, free); f != nil {
 		return f
 	}
-	return m.Table.StoreADSystem(p, slotFree, car)
+	return p.StoreADSystem(slotFree, car.AD())
 }
 
 // unpark removes the head carrier of a wait queue, pooling the carrier
-// and returning its contents; nil if the queue is empty.
-func (m *Manager) unpark(p obj.AD, headSlot, tailSlot uint32) (*parked, *obj.Fault) {
-	head, f := m.Table.LoadAD(p, headSlot)
+// and returning its contents; the zero parked if the queue is empty.
+func (m *Manager) unpark(p obj.Ref, headSlot, tailSlot uint32) (parked, *obj.Fault) {
+	ad, f := p.LoadAD(headSlot)
+	if f != nil || !ad.Valid() {
+		return parked{}, f
+	}
+	head, f := m.Table.Open(ad, obj.RightsNone)
 	if f != nil {
-		return nil, f
+		return parked{}, f
 	}
-	if !head.Valid() {
-		return nil, nil
-	}
-	proc, f := m.Table.LoadAD(head, carSlotProcess)
+	proc, f := head.LoadAD(carSlotProcess)
 	if f != nil {
-		return nil, f
+		return parked{}, f
 	}
-	msg, f := m.Table.LoadAD(head, carSlotMessage)
+	msg, f := head.LoadAD(carSlotMessage)
 	if f != nil {
-		return nil, f
+		return parked{}, f
 	}
-	key, f := m.Table.ReadDWord(head, carKey)
+	key, f := head.ReadDWord(carKey)
 	if f != nil {
-		return nil, f
+		return parked{}, f
 	}
-	next, f := m.Table.LoadAD(head, carSlotNext)
+	next, f := head.LoadAD(carSlotNext)
 	if f != nil {
-		return nil, f
+		return parked{}, f
 	}
-	if f := m.Table.StoreADSystem(p, headSlot, next); f != nil {
-		return nil, f
+	if f := p.StoreADSystem(headSlot, next); f != nil {
+		return parked{}, f
 	}
 	if !next.Valid() {
-		if f := m.Table.StoreADSystem(p, tailSlot, obj.NilAD); f != nil {
-			return nil, f
+		if f := p.StoreADSystem(tailSlot, obj.NilAD); f != nil {
+			return parked{}, f
 		}
 	}
-	if f := m.pool(p, head); f != nil {
-		return nil, f
+	if f := pool(p, head); f != nil {
+		return parked{}, f
 	}
 	if l := m.Table.Tracer(); l != nil {
 		var side uint64
 		if headSlot == slotRecvHead {
 			side = 1
 		}
-		l.Emit(trace.EvUnpark, uint32(p.Index), uint32(proc.Index), side)
+		l.Emit(trace.EvUnpark, uint32(p.AD().Index), uint32(proc.Index), side)
 	}
-	return &parked{Process: proc, Msg: msg, key: key}, nil
+	return parked{Process: proc, Msg: msg, key: key}, nil
 }
 
 // WaitingSenders reports the number of processes blocked sending to p.
@@ -589,11 +625,12 @@ func (m *Manager) WaitingReceivers(p obj.AD) (int, *obj.Fault) {
 }
 
 func (m *Manager) queueLen(p obj.AD, headSlot uint32) (int, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
+	pr, f := m.open(p)
+	if f != nil {
 		return 0, f
 	}
 	n := 0
-	cur, f := m.Table.LoadAD(p, headSlot)
+	cur, f := pr.LoadAD(headSlot)
 	if f != nil {
 		return 0, f
 	}

@@ -79,7 +79,7 @@ func TestSendReceiveFIFO(t *testing.T) {
 	msgs := []obj.AD{fx.newMsg(t), fx.newMsg(t), fx.newMsg(t)}
 	for _, msg := range msgs {
 		blocked, wake, f := fx.m.Send(p, msg, 0, obj.NilAD)
-		if f != nil || blocked || wake != nil {
+		if f != nil || blocked || wake.Woke() {
 			t.Fatalf("Send: blocked=%v wake=%v f=%v", blocked, wake, f)
 		}
 	}
@@ -88,7 +88,7 @@ func TestSendReceiveFIFO(t *testing.T) {
 	}
 	for i, want := range msgs {
 		got, blocked, wake, f := fx.m.Receive(p, obj.NilAD)
-		if f != nil || blocked || wake != nil {
+		if f != nil || blocked || wake.Woke() {
 			t.Fatalf("Receive %d: %v %v %v", i, blocked, wake, f)
 		}
 		if got.Index != want.Index {
@@ -195,7 +195,7 @@ func TestBlockedSenderResumesOnReceive(t *testing.T) {
 	if got.Index != m1.Index {
 		t.Fatal("wrong message received")
 	}
-	if wake == nil || wake.Process.Index != sender.Index {
+	if !wake.Woke() || wake.Process.Index != sender.Index {
 		t.Fatalf("blocked sender not woken: %v", wake)
 	}
 	// The sender's message now occupies the freed slot.
@@ -227,7 +227,7 @@ func TestBlockedReceiverResumesOnSend(t *testing.T) {
 	if f != nil || blocked {
 		t.Fatal(f)
 	}
-	if wake == nil || wake.Process.Index != receiver.Index {
+	if !wake.Woke() || wake.Process.Index != receiver.Index {
 		t.Fatalf("receiver not woken: %v", wake)
 	}
 	if wake.Msg.Index != msg.Index {
@@ -251,11 +251,11 @@ func TestMultipleBlockedSendersFIFOOrder(t *testing.T) {
 		t.Fatalf("WaitingSenders = %d", n)
 	}
 	_, _, wake, _ := fx.m.Receive(p, obj.NilAD)
-	if wake == nil || wake.Process.Index != s1.Index {
+	if !wake.Woke() || wake.Process.Index != s1.Index {
 		t.Fatal("senders woken out of order")
 	}
 	_, _, wake, _ = fx.m.Receive(p, obj.NilAD)
-	if wake == nil || wake.Process.Index != s2.Index {
+	if !wake.Woke() || wake.Process.Index != s2.Index {
 		t.Fatal("second sender not woken in turn")
 	}
 }
@@ -377,7 +377,7 @@ func TestConservation(t *testing.T) {
 				if blocked {
 					parked++
 				}
-				if wake != nil && wake.Msg.Valid() {
+				if wake.Woke() && wake.Msg.Valid() {
 					received++ // a blocked receiver consumed it
 				}
 			} else {
@@ -388,7 +388,7 @@ func TestConservation(t *testing.T) {
 				if !blocked {
 					received++
 				}
-				if wake != nil {
+				if wake.Woke() {
 					parked--
 				}
 			}
@@ -413,4 +413,63 @@ func setupQuick() *fixture {
 	s := sro.NewManager(tab)
 	heap, _ := s.NewGlobalHeap(0)
 	return &fixture{tab: tab, sros: s, m: NewManager(tab, s), heap: heap}
+}
+
+// portBytes snapshots both parts of the port object, for no-side-effect
+// checks.
+func (fx *fixture) portBytes(t *testing.T, p obj.AD) []byte {
+	t.Helper()
+	d := fx.tab.DescriptorAt(p.Index)
+	m := fx.tab.Memory()
+	data, err := m.ReadBytes(d.Data, 0, d.Data.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	access, err := m.ReadBytes(d.Access, 0, d.Access.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, access...)
+}
+
+// TestWriteRightFaultsBeforeSideEffect: a port capability without Write
+// cannot block a process at the port. The blocking send and receive both
+// fault FaultRights before a carrier is created — with the carrier pool
+// empty, creating one would be the first side effect — and leave the
+// port's bytes as they were.
+func TestWriteRightFaultsBeforeSideEffect(t *testing.T) {
+	fx := setup(t)
+	full := fx.newPort(t, 1, FIFO)
+	if _, _, f := fx.m.Send(full, fx.newMsg(t), 0, obj.NilAD); f != nil {
+		t.Fatal(f)
+	}
+	empty := fx.newPort(t, 1, FIFO)
+	msg, proc := fx.newMsg(t), fx.newProc(t)
+	for _, tc := range []struct {
+		name string
+		p    obj.AD
+		op   func(p obj.AD) *obj.Fault
+	}{
+		{"blocking send", full, func(p obj.AD) *obj.Fault {
+			_, _, f := fx.m.Send(p, msg, 0, proc)
+			return f
+		}},
+		{"blocking receive", empty, func(p obj.AD) *obj.Fault {
+			_, _, _, f := fx.m.Receive(p, proc)
+			return f
+		}},
+	} {
+		before := fx.portBytes(t, tc.p)
+		created, _, _, _ := fx.tab.Stats()
+		f := tc.op(tc.p.Restrict(obj.RightWrite))
+		if !obj.IsFault(f, obj.FaultRights) {
+			t.Errorf("%s without write right: %v, want a rights fault", tc.name, f)
+		}
+		if now, _, _, _ := fx.tab.Stats(); now != created {
+			t.Errorf("%s: %d objects created before the fault", tc.name, now-created)
+		}
+		if string(fx.portBytes(t, tc.p)) != string(before) {
+			t.Errorf("%s: port bytes changed before the fault", tc.name)
+		}
+	}
 }

@@ -51,7 +51,7 @@ func TestConservationWithCancellation(t *testing.T) {
 				if blocked {
 					parked = append(parked, waiter{proc, msg})
 				}
-				if wake != nil && wake.Msg.Valid() {
+				if wake.Woke() && wake.Msg.Valid() {
 					received++
 				}
 			case 1: // receive
@@ -62,7 +62,7 @@ func TestConservationWithCancellation(t *testing.T) {
 				if !blocked {
 					received++
 				}
-				if wake != nil && len(parked) > 0 {
+				if wake.Woke() && len(parked) > 0 {
 					// FIFO: the woken sender is the head.
 					if wake.Process.Index != parked[0].proc.Index {
 						t.Fatal("senders woken out of order")

@@ -72,8 +72,9 @@ const (
 
 // Process access-part slots.
 const (
-	// SlotContext is the current (top) context.
-	SlotContext = 0
+	// SlotContext is the current (top) context — the one process slot
+	// the interpreter's execution cache pins (obj.ProcSlotContext).
+	SlotContext = obj.ProcSlotContext
 	// SlotFaultPort receives the process when it faults.
 	SlotFaultPort = 1
 	// SlotDispatchPort is where the process queues when ready.
@@ -202,6 +203,55 @@ func (m *Manager) Create(heap obj.AD, spec Spec) (obj.AD, *obj.Fault) {
 	return p, nil
 }
 
+// Handle is a process object opened once (obj.Table.OpenType) for a run
+// of accesses — the dispatching path reads a process's state, stop count,
+// dispatch port and priority and writes its state through one handle. The
+// Manager accessors of the same names are Open plus one Handle method, so
+// each check has one implementation. A Handle obeys obj.Ref's validity
+// rule: re-open after any structural table operation.
+type Handle struct{ r obj.Ref }
+
+// Open resolves p once and checks that it is a process.
+func (m *Manager) Open(p obj.AD) (Handle, *obj.Fault) {
+	r, f := m.Table.OpenType(p, obj.TypeProcess)
+	return Handle{r}, f
+}
+
+// AD reports the process capability the handle was opened with.
+func (h Handle) AD() obj.AD { return h.r.AD() }
+
+// State reports the process's run state.
+func (h Handle) State() (State, *obj.Fault) {
+	s, f := h.r.ReadWord(offState)
+	return State(s), f
+}
+
+// SetState records a run-state transition.
+func (h Handle) SetState(s State) *obj.Fault {
+	if f := h.r.WriteWord(offState, uint16(s)); f != nil {
+		return f
+	}
+	if l := h.r.Table().Tracer(); l != nil {
+		l.Emit(trace.EvProcState, uint32(h.r.AD().Index), uint32(s), 0)
+	}
+	return nil
+}
+
+// Priority reports the process's dispatching priority.
+func (h Handle) Priority() (uint16, *obj.Fault) { return h.r.ReadWord(offPriority) }
+
+// TimeSlice reports the quantum in cycles (0 = run to completion).
+func (h Handle) TimeSlice() (uint32, *obj.Fault) { return h.r.ReadDWord(offTimeSlice) }
+
+// StopCount reports the nested stop count.
+func (h Handle) StopCount() (uint16, *obj.Fault) { return h.r.ReadWord(offStopCount) }
+
+// Link reads one of the process's access slots.
+func (h Handle) Link(slot uint32) (obj.AD, *obj.Fault) { return h.r.LoadAD(slot) }
+
+// SetLink writes one of the process's access slots.
+func (h Handle) SetLink(slot uint32, ad obj.AD) *obj.Fault { return h.r.StoreADSystem(slot, ad) }
+
 // PID reports the process's diagnostic identity.
 func (m *Manager) PID(p obj.AD) (uint32, *obj.Fault) {
 	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
@@ -212,34 +262,30 @@ func (m *Manager) PID(p obj.AD) (uint32, *obj.Fault) {
 
 // StateOf reports the process's run state.
 func (m *Manager) StateOf(p obj.AD) (State, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := m.Open(p)
+	if f != nil {
 		return 0, f
 	}
-	s, f := m.Table.ReadWord(p, offState)
-	return State(s), f
+	return h.State()
 }
 
 // SetState records a run-state transition. The processor and the process
 // manager are the only callers.
 func (m *Manager) SetState(p obj.AD, s State) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := m.Open(p)
+	if f != nil {
 		return f
 	}
-	if f := m.Table.WriteWord(p, offState, uint16(s)); f != nil {
-		return f
-	}
-	if l := m.Table.Tracer(); l != nil {
-		l.Emit(trace.EvProcState, uint32(p.Index), uint32(s), 0)
-	}
-	return nil
+	return h.SetState(s)
 }
 
 // Priority reports the process's dispatching priority.
 func (m *Manager) Priority(p obj.AD) (uint16, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := m.Open(p)
+	if f != nil {
 		return 0, f
 	}
-	return m.Table.ReadWord(p, offPriority)
+	return h.Priority()
 }
 
 // SetPriority changes the dispatching priority; requires the control
@@ -257,10 +303,11 @@ func (m *Manager) SetPriority(p obj.AD, prio uint16) *obj.Fault {
 
 // TimeSlice reports the quantum in cycles (0 = run to completion).
 func (m *Manager) TimeSlice(p obj.AD) (uint32, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := m.Open(p)
+	if f != nil {
 		return 0, f
 	}
-	return m.Table.ReadDWord(p, offTimeSlice)
+	return h.TimeSlice()
 }
 
 // SetTimeSlice changes the quantum; requires the control right.
@@ -277,10 +324,11 @@ func (m *Manager) SetTimeSlice(p obj.AD, cycles uint32) *obj.Fault {
 // StopCount reports the nested stop count maintained for the basic
 // process manager (§6.1).
 func (m *Manager) StopCount(p obj.AD) (uint16, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := m.Open(p)
+	if f != nil {
 		return 0, f
 	}
-	return m.Table.ReadWord(p, offStopCount)
+	return h.StopCount()
 }
 
 // CPUCycles reports the processor cycles the process has consumed, the
@@ -352,18 +400,20 @@ func (m *Manager) SetFaultObject(p obj.AD, idx obj.Index) *obj.Fault {
 // Link reads one of the process's access slots (fault port, dispatch
 // port, parent, ...).
 func (m *Manager) Link(p obj.AD, slot uint32) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := m.Open(p)
+	if f != nil {
 		return obj.NilAD, f
 	}
-	return m.Table.LoadAD(p, slot)
+	return h.Link(slot)
 }
 
 // SetLink writes one of the process's access slots.
 func (m *Manager) SetLink(p obj.AD, slot uint32, ad obj.AD) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
+	h, f := m.Open(p)
+	if f != nil {
 		return f
 	}
-	return m.Table.StoreADSystem(p, slot, ad)
+	return h.SetLink(slot, ad)
 }
 
 // Depth reports the process's current dynamic call depth, which is the
